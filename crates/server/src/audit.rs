@@ -33,6 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mine_itembank::Repository;
 use mine_store::{EventStore, StoreOptions, INITIAL_EPOCH};
@@ -330,7 +331,16 @@ pub fn audit_dirs(
     if dirs.is_empty() {
         return Err("audit needs at least one directory".to_string());
     }
-    let scratch_base = std::env::temp_dir().join(format!("mine-audit-{}", std::process::id()));
+    // Each call owns its scratch base: audits running at once in one
+    // process (tests, in-process checks) must not delete each other's
+    // copies. A directory of the same name can only be left by an
+    // earlier process that had this pid.
+    static AUDITS: AtomicU64 = AtomicU64::new(0);
+    let scratch_base = std::env::temp_dir().join(format!(
+        "mine-audit-{}-{}",
+        std::process::id(),
+        AUDITS.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&scratch_base);
     let result = audit_dirs_in(dirs, repository, &scratch_base);
     let _ = std::fs::remove_dir_all(&scratch_base);
@@ -550,6 +560,33 @@ mod tests {
         assert!(rendered.contains("record seq 1"), "{rendered}");
         assert!(rendered.contains("below the initial epoch"), "{rendered}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_audits_keep_their_scratch_copies_apart() {
+        let dirs = [temp_dir("concurrent-a"), temp_dir("concurrent-b")];
+        for dir in &dirs {
+            journal_events(dir, &[&created_event("s1", 7), &created_event("s2", 8)]);
+        }
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|scope| {
+            let audits: Vec<_> = (0..6)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let repo: &dyn Fn() -> Result<Repository, String> = &|| Ok(repository());
+                        start.wait();
+                        audit_dirs(&dirs, Some(repo))
+                    })
+                })
+                .collect();
+            for audit in audits {
+                let report = audit.join().expect("audit thread").expect("audit runs");
+                assert!(report.is_clean(), "{}", report.render());
+            }
+        });
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! Lock-free service metrics: request counters, a latency histogram,
-//! and session gauges, all plain atomics so the hot path never blocks.
+//! Lock-free service metrics, each `/metrics` family declared once.
 //!
-//! `GET /metrics` renders a [`MetricsSnapshot`] as JSON — request
-//! counts per route, response counts per status class, a fixed-bucket
-//! latency histogram in microseconds, and active/started/finished
-//! session gauges.
+//! `TABLE` lists every family with its Prometheus name, help text,
+//! kind, labels, JSON key and the storage it reads. Counters and gauges
+//! are relaxed atomics in one array indexed by `Slot`; latency
+//! histograms are `Histogram`s indexed by `Hist`. An update is an index
+//! and an atomic add, so the hot path never blocks, allocates or looks
+//! a name up. `GET /metrics` renders a [`MetricsSnapshot`] as
+//! Prometheus text and `?format=json` as JSON, each by one loop over
+//! the table.
+//!
+//! Adding a series is one table row (with the `Slot` or `Hist` variant
+//! it reads) plus one call site.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use serde::{Serialize, Value};
+use serde::{Number, Serialize, Value};
 
 /// The routes the service distinguishes in its counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +53,8 @@ pub enum Route {
 }
 
 impl Route {
-    /// All distinguishable routes, in render order.
+    /// All distinguishable routes, in render order, which is
+    /// discriminant order.
     pub const ALL: [Route; 15] = [
         Route::Healthz,
         Route::Metrics,
@@ -66,30 +73,33 @@ impl Route {
         Route::Unmatched,
     ];
 
+    /// Metric labels, in discriminant order.
+    const LABELS: [&'static str; 15] = [
+        "healthz",
+        "metrics",
+        "session_start",
+        "session_status",
+        "answer",
+        "pause",
+        "resume",
+        "finish",
+        "analysis",
+        "promote",
+        "demote",
+        "admin_ranges",
+        "redirected",
+        "shed",
+        "unmatched",
+    ];
+
     /// Stable metric label.
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            Route::Healthz => "healthz",
-            Route::Metrics => "metrics",
-            Route::SessionStart => "session_start",
-            Route::SessionStatus => "session_status",
-            Route::Answer => "answer",
-            Route::Pause => "pause",
-            Route::Resume => "resume",
-            Route::Finish => "finish",
-            Route::Analysis => "analysis",
-            Route::Promote => "promote",
-            Route::Demote => "demote",
-            Route::AdminRanges => "admin_ranges",
-            Route::Redirected => "redirected",
-            Route::Shed => "shed",
-            Route::Unmatched => "unmatched",
-        }
+        Self::LABELS[self.index()]
     }
 
     fn index(self) -> usize {
-        Route::ALL.iter().position(|r| *r == self).expect("listed")
+        self as usize
     }
 }
 
@@ -97,109 +107,154 @@ impl Route {
 /// final bucket is unbounded.
 pub const LATENCY_BUCKETS_US: [u64; 8] = [100, 250, 500, 1_000, 5_000, 25_000, 100_000, 1_000_000];
 
-/// Index of the histogram bucket a `us`-microsecond observation lands
-/// in (the last index is the overflow bucket).
-fn bucket_index(us: u64) -> usize {
-    LATENCY_BUCKETS_US
-        .iter()
-        .position(|&bound| us <= bound)
-        .unwrap_or(LATENCY_BUCKETS_US.len())
+/// Buckets per histogram, the unbounded one included.
+const BUCKETS: usize = LATENCY_BUCKETS_US.len() + 1;
+
+/// A counter or gauge in [`Metrics`]. A family of several slots takes
+/// them consecutively: `Status2xx..=Status5xx`, and one slot per route
+/// from `Requests` on, in [`Route::ALL`] order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    Status2xx,
+    Status4xx,
+    Status5xx,
+    SessionsStarted,
+    SessionsFinished,
+    /// Filled in by [`Metrics::snapshot`].
+    ActiveSessions,
+    ShedTotal,
+    RateLimitedTotal,
+    QueueDepth,
+    InflightRequests,
+    DrainState,
+    RetryAfterSecs,
+    /// 0 primary, 1 follower, 2 candidate.
+    ReplRole,
+    ReplEpoch,
+    ReplLastAppliedSeq,
+    ReplLag,
+    ReplFollowers,
+    ReplQuorumTimeouts,
+    Redirected,
+    ReplFailovers,
+    ReplSuspicions,
+    ReplReconnects,
+    ReplHeartbeatAgeUs,
+    PoolWorkers,
+    PoolSteals,
+    AdaptiveStarted,
+    AdaptiveFinished,
+    /// Filled in by [`Metrics::snapshot`].
+    AdaptiveActive,
+    ScrubPasses,
+    ScrubCorruptSegments,
+    RepairSegments,
+    StorageDegraded,
+    Requests,
 }
 
-/// Shared metric counters. Cheap to update from any worker thread.
-#[derive(Debug, Default)]
+const SLOTS: usize = Slot::Requests as usize + Route::ALL.len();
+
+/// A latency histogram in [`Metrics`]; the three analysis histograms
+/// are consecutive, like the series of their family.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Hist {
+    Latency,
+    AnalysisCold,
+    AnalysisHit,
+    AnalysisStreaming,
+    StreamingUpdate,
+    AdaptiveStep,
+}
+
+const HISTS: usize = Hist::AdaptiveStep as usize + 1;
+
+/// Per-bucket counts over [`LATENCY_BUCKETS_US`] plus the sum (µs) and
+/// count of the observations: atomics while live, plain numbers in a
+/// snapshot.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct Histogram<T = AtomicU64> {
+    buckets: [T; BUCKETS],
+    sum_us: T,
+    count: T,
+}
+
+impl Histogram {
+    fn observe(&self, latency: Duration) {
+        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        let bucket = LATENCY_BUCKETS_US
+            .iter()
+            .position(|&bound| us <= bound)
+            .unwrap_or(BUCKETS - 1);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> Histogram<u64> {
+        Histogram {
+            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+            count: self.count.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl Histogram<u64> {
+    /// Appends one series: *cumulative* buckets with `le` bounds in
+    /// seconds, then `_sum` in seconds and `_count`. `labels` is the
+    /// series' label set without braces.
+    fn write_prometheus(&self, out: &mut String, name: &str, labels: &str) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0_u64;
+        for (i, count) in self.buckets.iter().enumerate() {
+            cumulative += count;
+            let le = LATENCY_BUCKETS_US
+                .get(i)
+                .map_or_else(|| "+Inf".to_string(), |&us| secs(us).to_string());
+            out.push_str(&format!(
+                "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}\n"
+            ));
+        }
+        let labels = braced(labels);
+        out.push_str(&format!("{name}_sum{labels} {}\n", secs(self.sum_us)));
+        out.push_str(&format!("{name}_count{labels} {}\n", self.count));
+    }
+}
+
+impl Serialize for Histogram<u64> {
+    fn to_value(&self) -> Value {
+        let buckets = self.buckets.iter().enumerate().map(|(i, count)| {
+            let le = LATENCY_BUCKETS_US
+                .get(i)
+                .map_or_else(|| "+inf".to_string(), u64::to_string);
+            Value::Object(vec![
+                ("le_us".to_string(), Value::String(le)),
+                ("count".to_string(), count.to_value()),
+            ])
+        });
+        Value::Object(vec![
+            ("buckets".to_string(), Value::Array(buckets.collect())),
+            ("sum".to_string(), self.sum_us.to_value()),
+            ("count".to_string(), self.count.to_value()),
+        ])
+    }
+}
+
+/// Shared metric storage. Cheap to update from any worker thread.
+#[derive(Debug)]
 pub struct Metrics {
-    requests: [AtomicU64; Route::ALL.len()],
-    /// Responses by status class: 2xx, 4xx, 5xx.
-    status_2xx: AtomicU64,
-    status_4xx: AtomicU64,
-    status_5xx: AtomicU64,
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    latency_sum_us: AtomicU64,
-    latency_count: AtomicU64,
-    sessions_started: AtomicU64,
-    sessions_finished: AtomicU64,
-    /// Connections/requests shed because the accept queue was full or
-    /// the server was draining.
-    shed_total: AtomicU64,
-    /// Connections shed by the per-peer token bucket.
-    rate_limited_total: AtomicU64,
-    /// Connections accepted and waiting for a worker, right now.
-    queue_depth: AtomicU64,
-    /// Requests currently being handled (parsed → response written).
-    inflight_requests: AtomicU64,
-    /// Drain state gauge: 0 running, 1 draining, 2 stopped.
-    drain_state: AtomicU64,
-    /// The `Retry-After` seconds most recently advertised on a shed
-    /// response (0 = nothing shed yet).
-    retry_after_secs: AtomicU64,
-    /// Replication role gauge: 0 primary, 1 follower, 2 candidate.
-    repl_role: AtomicU64,
-    /// Durable replication epoch.
-    repl_epoch: AtomicU64,
-    /// Highest journal sequence applied locally.
-    repl_last_applied_seq: AtomicU64,
-    /// Replication lag in records: a primary reports its head minus its
-    /// slowest follower's ack, a follower its leader's advertised head
-    /// minus its own applied seq.
-    repl_lag: AtomicU64,
-    /// Followers currently streaming from this node.
-    repl_followers: AtomicU64,
-    /// Quorum-ack waits that timed out (the write proceeded leader-only).
-    repl_quorum_timeouts_total: AtomicU64,
-    /// Writes refused with `421` and redirected to the leader.
-    redirected_total: AtomicU64,
-    /// Unsupervised promotions performed by the failure detector.
-    repl_failovers_total: AtomicU64,
-    /// Times the failure detector suspected the leader (missed
-    /// heartbeats past the timeout); a suspicion may or may not end in
-    /// a promotion.
-    repl_suspicions_total: AtomicU64,
-    /// Follower reconnection attempts after a broken stream.
-    repl_reconnects_total: AtomicU64,
-    /// Microseconds since the follower last heard from its leader
-    /// (refreshed by the metrics handler; 0 on a primary).
-    repl_heartbeat_age_us: AtomicU64,
-    /// Batch-mode analysis wall time, cold (cache miss → full
-    /// pipeline) vs hit.
-    analysis_cold_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    analysis_cold_sum_us: AtomicU64,
-    analysis_cold_count: AtomicU64,
-    analysis_hit_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    analysis_hit_sum_us: AtomicU64,
-    analysis_hit_count: AtomicU64,
-    /// Streaming-mode analysis wall time (report assembled from the
-    /// engine's running counters, no record replay).
-    analysis_streaming_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    analysis_streaming_sum_us: AtomicU64,
-    analysis_streaming_count: AtomicU64,
-    /// Per-finish streaming engine updates (counter doubles as the
-    /// histogram count).
-    streaming_update_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    streaming_update_sum_us: AtomicU64,
-    streaming_update_count: AtomicU64,
-    /// Work-stealing pool gauges, refreshed from [`mine_pool::stats`]
-    /// by the metrics handler like the replication gauges.
-    pool_workers: AtomicU64,
-    pool_steals_total: AtomicU64,
-    /// Adaptive (CAT) sitting lifecycle counters.
-    adaptive_sessions_started: AtomicU64,
-    adaptive_sessions_finished: AtomicU64,
-    /// Adaptive steps (answer → re-estimate → next-item selection); the
-    /// counter doubles as the histogram count.
-    adaptive_steps_total: AtomicU64,
-    adaptive_step_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    adaptive_step_sum_us: AtomicU64,
-    /// Completed anti-entropy scrub passes.
-    scrub_passes_total: AtomicU64,
-    /// Sealed segments a scrub pass found corrupt (CRC/framing/sequence
-    /// damage or range-hash divergence from the leader).
-    scrub_corrupt_segments_total: AtomicU64,
-    /// Segments quarantined and re-fetched from a healthy peer.
-    repair_segments_total: AtomicU64,
-    /// Storage health gauge: 1 while the local WAL refuses writes
-    /// (degraded read-only serving), 0 while healthy.
-    storage_degraded: AtomicU64,
+    values: [AtomicU64; SLOTS],
+    histograms: [Histogram; HISTS],
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Self {
+            values: [const { AtomicU64::new(0) }; SLOTS],
+            histograms: Default::default(),
+        }
+    }
 }
 
 impl Metrics {
@@ -211,942 +266,395 @@ impl Metrics {
 
     /// Records one served request.
     pub fn record(&self, route: Route, status: u16, latency: Duration) {
-        self.requests[route.index()].fetch_add(1, Ordering::Relaxed);
-        match status {
-            200..=299 => self.status_2xx.fetch_add(1, Ordering::Relaxed),
-            500..=599 => self.status_5xx.fetch_add(1, Ordering::Relaxed),
-            _ => self.status_4xx.fetch_add(1, Ordering::Relaxed),
+        self.values[Slot::Requests as usize + route.index()].fetch_add(1, Ordering::Relaxed);
+        let class = match status {
+            200..=299 => Slot::Status2xx,
+            500..=599 => Slot::Status5xx,
+            _ => Slot::Status4xx,
         };
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.latency_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
+        self.add(class, 1);
+        self.observe(Hist::Latency, latency);
     }
 
-    /// Counts a session start.
-    pub fn session_started(&self) {
-        self.sessions_started.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to a counter or gauge.
+    pub(crate) fn add(&self, slot: Slot, n: u64) {
+        self.values[slot as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts a session finish.
-    pub fn session_finished(&self) {
-        self.sessions_finished.fetch_add(1, Ordering::Relaxed);
+    /// Subtracts `n` from a gauge.
+    pub(crate) fn sub(&self, slot: Slot, n: u64) {
+        self.values[slot as usize].fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Counts one shed connection/request, recording the `Retry-After`
-    /// it was sent away with.
-    pub fn shed(&self, retry_after_secs: u64) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-        self.retry_after_secs
-            .store(retry_after_secs, Ordering::Relaxed);
+    /// Publishes a gauge.
+    pub(crate) fn set(&self, slot: Slot, value: u64) {
+        self.values[slot as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Counts one rate-limited connection, recording its `Retry-After`.
-    pub fn rate_limited(&self, retry_after_secs: u64) {
-        self.rate_limited_total.fetch_add(1, Ordering::Relaxed);
-        self.retry_after_secs
-            .store(retry_after_secs, Ordering::Relaxed);
+    /// Current value of a counter or gauge.
+    pub(crate) fn get(&self, slot: Slot) -> u64 {
+        self.values[slot as usize].load(Ordering::Relaxed)
     }
 
-    /// A connection entered the accept queue.
-    pub fn queue_enter(&self) {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+    /// Records one observation in a histogram.
+    pub(crate) fn observe(&self, hist: Hist, latency: Duration) {
+        self.histograms[hist as usize].observe(latency);
     }
 
-    /// A worker took a connection off the accept queue.
-    pub fn queue_exit(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    /// Counts one connection or request sent away under `counter`
+    /// (shed or rate-limited), recording the `Retry-After` it was sent
+    /// away with.
+    pub(crate) fn shed(&self, counter: Slot, retry_after_secs: u64) {
+        self.add(counter, 1);
+        self.set(Slot::RetryAfterSecs, retry_after_secs);
     }
 
-    /// Current accept-queue depth.
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// A request started being handled.
-    pub fn inflight_enter(&self) {
-        self.inflight_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request finished (response written or connection gone).
-    pub fn inflight_exit(&self) {
-        self.inflight_requests.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently being handled.
-    #[must_use]
-    pub fn inflight(&self) -> u64 {
-        self.inflight_requests.load(Ordering::Relaxed)
-    }
-
-    /// Publishes the drain-state gauge (see
-    /// [`crate::drain::DrainState::as_gauge`]).
-    pub fn set_drain_state(&self, gauge: u64) {
-        self.drain_state.store(gauge, Ordering::Relaxed);
-    }
-
-    /// Publishes the replication gauges in one call (refreshed by the
-    /// metrics handler from the live replication state).
-    pub fn set_repl(&self, role: u64, epoch: u64, last_applied: u64, lag: u64, followers: u64) {
-        self.repl_role.store(role, Ordering::Relaxed);
-        self.repl_epoch.store(epoch, Ordering::Relaxed);
-        self.repl_last_applied_seq
-            .store(last_applied, Ordering::Relaxed);
-        self.repl_lag.store(lag, Ordering::Relaxed);
-        self.repl_followers.store(followers, Ordering::Relaxed);
-    }
-
-    /// Counts one quorum-ack wait that timed out.
-    pub fn quorum_timeout(&self) {
-        self.repl_quorum_timeouts_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write redirected to the leader with `421`.
-    pub fn redirected(&self) {
-        self.redirected_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one unsupervised promotion by the failure detector.
-    pub fn failover(&self) {
-        self.repl_failovers_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one leader suspicion (heartbeat silence past the
-    /// detection timeout).
-    pub fn suspicion(&self) {
-        self.repl_suspicions_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one follower reconnection attempt.
-    pub fn repl_reconnect(&self) {
-        self.repl_reconnects_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes how long ago the follower last heard from its leader
-    /// (microseconds; 0 on a primary).
-    pub fn set_repl_heartbeat_age(&self, age_us: u64) {
-        self.repl_heartbeat_age_us.store(age_us, Ordering::Relaxed);
-    }
-
-    /// Records one batch-mode analysis: `cache_hit` distinguishes a
-    /// cached report from a cold run of the full pipeline.
-    pub fn record_analysis(&self, cache_hit: bool, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let bucket = bucket_index(us);
-        let (buckets, sum, count) = if cache_hit {
-            (
-                &self.analysis_hit_buckets,
-                &self.analysis_hit_sum_us,
-                &self.analysis_hit_count,
-            )
-        } else {
-            (
-                &self.analysis_cold_buckets,
-                &self.analysis_cold_sum_us,
-                &self.analysis_cold_count,
-            )
-        };
-        buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        sum.fetch_add(us, Ordering::Relaxed);
-        count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one streaming-mode analysis read (report assembled from
-    /// the engine's counters).
-    pub fn record_streaming_analysis(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.analysis_streaming_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.analysis_streaming_sum_us
-            .fetch_add(us, Ordering::Relaxed);
-        self.analysis_streaming_count
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one finish-time streaming engine update.
-    pub fn record_streaming_update(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.streaming_update_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.streaming_update_sum_us
-            .fetch_add(us, Ordering::Relaxed);
-        self.streaming_update_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an adaptive sitting start.
-    pub fn adaptive_session_started(&self) {
-        self.adaptive_sessions_started
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an adaptive sitting finish.
-    pub fn adaptive_session_closed(&self) {
-        self.adaptive_sessions_finished
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one adaptive step: grade, ability re-estimate, and
-    /// next-item selection for a single answer.
-    pub fn record_adaptive_step(&self, latency: Duration) {
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.adaptive_step_buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.adaptive_step_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.adaptive_steps_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one completed scrub pass.
-    pub fn scrub_pass(&self) {
-        self.scrub_passes_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `segments` sealed segments found corrupt by a scrub pass.
-    pub fn scrub_corruption(&self, segments: u64) {
-        self.scrub_corrupt_segments_total
-            .fetch_add(segments, Ordering::Relaxed);
-    }
-
-    /// Counts one segment quarantined and repaired from a peer.
-    pub fn repair_segment(&self) {
-        self.repair_segments_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the storage health gauge: `true` while the WAL is
-    /// refusing writes and the node serves degraded (read-only).
-    pub fn set_storage_degraded(&self, degraded: bool) {
-        self.storage_degraded
-            .store(u64::from(degraded), Ordering::Relaxed);
-    }
-
-    /// Publishes the work-stealing pool gauges (refreshed by the
-    /// metrics handler from [`mine_pool::stats`]).
-    pub fn set_pool(&self, workers: u64, steals: u64) {
-        self.pool_workers.store(workers, Ordering::Relaxed);
-        self.pool_steals_total.store(steals, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for rendering.
+    /// Takes a consistent-enough snapshot for rendering, with the
+    /// resident plain and adaptive sitting counts the caller supplies.
     #[must_use]
     pub fn snapshot(&self, active_sessions: usize, adaptive_active: usize) -> MetricsSnapshot {
+        let mut values = self.values.each_ref().map(|v| v.load(Ordering::Relaxed));
+        values[Slot::ActiveSessions as usize] = active_sessions as u64;
+        values[Slot::AdaptiveActive as usize] = adaptive_active as u64;
         MetricsSnapshot {
-            requests: Route::ALL
-                .iter()
-                .map(|route| {
-                    (
-                        route.label(),
-                        self.requests[route.index()].load(Ordering::Relaxed),
-                    )
-                })
-                .collect(),
-            status_2xx: self.status_2xx.load(Ordering::Relaxed),
-            status_4xx: self.status_4xx.load(Ordering::Relaxed),
-            status_5xx: self.status_5xx.load(Ordering::Relaxed),
-            latency_buckets: self
-                .latency_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            latency_count: self.latency_count.load(Ordering::Relaxed),
-            sessions_started: self.sessions_started.load(Ordering::Relaxed),
-            sessions_finished: self.sessions_finished.load(Ordering::Relaxed),
-            active_sessions,
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-            rate_limited_total: self.rate_limited_total.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            inflight_requests: self.inflight_requests.load(Ordering::Relaxed),
-            drain_state: self.drain_state.load(Ordering::Relaxed),
-            retry_after_secs: self.retry_after_secs.load(Ordering::Relaxed),
-            repl_role: self.repl_role.load(Ordering::Relaxed),
-            repl_epoch: self.repl_epoch.load(Ordering::Relaxed),
-            repl_last_applied_seq: self.repl_last_applied_seq.load(Ordering::Relaxed),
-            repl_lag: self.repl_lag.load(Ordering::Relaxed),
-            repl_followers: self.repl_followers.load(Ordering::Relaxed),
-            repl_quorum_timeouts_total: self.repl_quorum_timeouts_total.load(Ordering::Relaxed),
-            redirected_total: self.redirected_total.load(Ordering::Relaxed),
-            repl_failovers_total: self.repl_failovers_total.load(Ordering::Relaxed),
-            repl_suspicions_total: self.repl_suspicions_total.load(Ordering::Relaxed),
-            repl_reconnects_total: self.repl_reconnects_total.load(Ordering::Relaxed),
-            repl_heartbeat_age_us: self.repl_heartbeat_age_us.load(Ordering::Relaxed),
-            analysis_cold_buckets: self
-                .analysis_cold_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            analysis_cold_sum_us: self.analysis_cold_sum_us.load(Ordering::Relaxed),
-            analysis_cold_count: self.analysis_cold_count.load(Ordering::Relaxed),
-            analysis_hit_buckets: self
-                .analysis_hit_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            analysis_hit_sum_us: self.analysis_hit_sum_us.load(Ordering::Relaxed),
-            analysis_hit_count: self.analysis_hit_count.load(Ordering::Relaxed),
-            analysis_streaming_buckets: self
-                .analysis_streaming_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            analysis_streaming_sum_us: self.analysis_streaming_sum_us.load(Ordering::Relaxed),
-            analysis_streaming_count: self.analysis_streaming_count.load(Ordering::Relaxed),
-            streaming_update_buckets: self
-                .streaming_update_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            streaming_update_sum_us: self.streaming_update_sum_us.load(Ordering::Relaxed),
-            streaming_updates_total: self.streaming_update_count.load(Ordering::Relaxed),
-            pool_workers: self.pool_workers.load(Ordering::Relaxed),
-            pool_steals_total: self.pool_steals_total.load(Ordering::Relaxed),
-            adaptive_sessions_started: self.adaptive_sessions_started.load(Ordering::Relaxed),
-            adaptive_sessions_finished: self.adaptive_sessions_finished.load(Ordering::Relaxed),
-            adaptive_sessions_active: adaptive_active,
-            adaptive_steps_total: self.adaptive_steps_total.load(Ordering::Relaxed),
-            adaptive_step_buckets: self
-                .adaptive_step_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            adaptive_step_sum_us: self.adaptive_step_sum_us.load(Ordering::Relaxed),
-            scrub_passes_total: self.scrub_passes_total.load(Ordering::Relaxed),
-            scrub_corrupt_segments_total: self.scrub_corrupt_segments_total.load(Ordering::Relaxed),
-            repair_segments_total: self.repair_segments_total.load(Ordering::Relaxed),
-            storage_degraded: self.storage_degraded.load(Ordering::Relaxed),
+            values,
+            histograms: self.histograms.each_ref().map(Histogram::load),
         }
     }
 }
 
-/// A point-in-time copy of every counter, renderable as JSON.
+/// A point-in-time copy of every series, renderable as Prometheus text
+/// or JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Requests served per route label.
-    pub requests: Vec<(&'static str, u64)>,
-    /// 2xx responses.
-    pub status_2xx: u64,
-    /// 4xx responses.
-    pub status_4xx: u64,
-    /// 5xx responses.
-    pub status_5xx: u64,
-    /// Latency histogram counts; index i ≤ `LATENCY_BUCKETS_US[i]` µs,
-    /// last entry is the overflow bucket.
-    pub latency_buckets: Vec<u64>,
-    /// Sum of request latencies in microseconds.
-    pub latency_sum_us: u64,
-    /// Number of latency observations.
-    pub latency_count: u64,
-    /// Sessions ever started.
-    pub sessions_started: u64,
-    /// Sessions ever finished.
-    pub sessions_finished: u64,
-    /// Sessions currently resident in the registry.
-    pub active_sessions: usize,
-    /// Connections/requests shed (full queue or draining).
-    pub shed_total: u64,
-    /// Connections shed by per-peer rate limiting.
-    pub rate_limited_total: u64,
-    /// Accept-queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// Requests being handled at snapshot time.
-    pub inflight_requests: u64,
-    /// Drain state: 0 running, 1 draining, 2 stopped.
-    pub drain_state: u64,
-    /// Last advertised `Retry-After` seconds (0 = never shed).
-    pub retry_after_secs: u64,
-    /// Replication role: 0 primary, 1 follower, 2 candidate.
-    pub repl_role: u64,
-    /// Durable replication epoch.
-    pub repl_epoch: u64,
-    /// Highest journal sequence applied locally.
-    pub repl_last_applied_seq: u64,
-    /// Replication lag in records (see [`Metrics::set_repl`]).
-    pub repl_lag: u64,
-    /// Followers currently streaming from this node.
-    pub repl_followers: u64,
-    /// Quorum-ack waits that timed out.
-    pub repl_quorum_timeouts_total: u64,
-    /// Writes refused with `421` and pointed at the leader.
-    pub redirected_total: u64,
-    /// Unsupervised promotions performed by the failure detector.
-    pub repl_failovers_total: u64,
-    /// Leader suspicions raised by the failure detector.
-    pub repl_suspicions_total: u64,
-    /// Follower reconnection attempts after a broken stream.
-    pub repl_reconnects_total: u64,
-    /// Microseconds since the follower last heard from its leader
-    /// (0 on a primary).
-    pub repl_heartbeat_age_us: u64,
-    /// Cold-analysis duration histogram (same bucket bounds as
-    /// [`LATENCY_BUCKETS_US`], last entry is the overflow bucket).
-    pub analysis_cold_buckets: Vec<u64>,
-    /// Sum of cold-analysis durations in microseconds.
-    pub analysis_cold_sum_us: u64,
-    /// Number of cold analyses.
-    pub analysis_cold_count: u64,
-    /// Cache-hit analysis duration histogram.
-    pub analysis_hit_buckets: Vec<u64>,
-    /// Sum of cache-hit analysis durations in microseconds.
-    pub analysis_hit_sum_us: u64,
-    /// Number of cache-hit analyses.
-    pub analysis_hit_count: u64,
-    /// Streaming-mode analysis duration histogram.
-    pub analysis_streaming_buckets: Vec<u64>,
-    /// Sum of streaming-mode analysis durations in microseconds.
-    pub analysis_streaming_sum_us: u64,
-    /// Number of streaming-mode analyses.
-    pub analysis_streaming_count: u64,
-    /// Finish-time streaming update duration histogram.
-    pub streaming_update_buckets: Vec<u64>,
-    /// Sum of streaming update durations in microseconds.
-    pub streaming_update_sum_us: u64,
-    /// Finish-time streaming engine updates ever applied.
-    pub streaming_updates_total: u64,
-    /// Worker threads spawned by the work-stealing pool.
-    pub pool_workers: u64,
-    /// Tasks executed by a worker other than the one that queued them.
-    pub pool_steals_total: u64,
-    /// Adaptive (CAT) sittings ever started.
-    pub adaptive_sessions_started: u64,
-    /// Adaptive sittings ever finished.
-    pub adaptive_sessions_finished: u64,
-    /// Adaptive sittings currently resident in the registry.
-    pub adaptive_sessions_active: usize,
-    /// Adaptive steps ever served (doubles as the histogram count).
-    pub adaptive_steps_total: u64,
-    /// Adaptive step duration histogram (same bucket bounds as
-    /// [`LATENCY_BUCKETS_US`], last entry is the overflow bucket).
-    pub adaptive_step_buckets: Vec<u64>,
-    /// Sum of adaptive step durations in microseconds.
-    pub adaptive_step_sum_us: u64,
-    /// Completed anti-entropy scrub passes.
-    pub scrub_passes_total: u64,
-    /// Sealed segments found corrupt by scrub passes.
-    pub scrub_corrupt_segments_total: u64,
-    /// Segments quarantined and repaired from a healthy peer.
-    pub repair_segments_total: u64,
-    /// Storage health: 1 degraded (read-only), 0 healthy.
-    pub storage_degraded: u64,
+    values: [u64; SLOTS],
+    histograms: [Histogram<u64>; HISTS],
 }
 
-impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        let requests = Value::Object(
-            self.requests
+/// Where a family's series read their values.
+#[derive(Clone, Copy)]
+enum Src {
+    /// Consecutive slots, one per series.
+    Slots(Slot),
+    /// Consecutive histograms, one per series.
+    Hists(Hist),
+    /// A histogram's observation count.
+    Count(Hist),
+    /// A gauge kept in microseconds; Prometheus shows it in seconds.
+    Micros(Slot),
+    /// A gauge Prometheus shows one-hot: series `i` is 1 when the gauge
+    /// holds `i`. JSON shows the raw value.
+    OneHot(Slot),
+}
+
+/// A family's series.
+#[derive(Clone, Copy)]
+enum Labels {
+    /// One unlabelled series.
+    None,
+    /// One series per value of one label, keyed by value in JSON.
+    Values(&'static str, &'static [&'static str]),
+    /// One series per `(label set, JSON key)`.
+    Sets(&'static [(&'static str, &'static str)]),
+}
+
+/// One row of the table: a Prometheus family and its JSON rendering.
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    labels: Labels,
+    /// JSON key. It holds the value of an unlabelled family or a
+    /// one-hot gauge. A labelled family nests its series under it, or
+    /// puts them at the top level under their own keys when it is empty.
+    json: &'static str,
+    src: Src,
+}
+
+impl Family {
+    const fn new(kind: &'static str, src: Src, name: &'static str) -> Self {
+        Family {
+            name,
+            help: "",
+            kind,
+            labels: Labels::None,
+            json: "",
+            src,
+        }
+    }
+
+    const fn json(self, json: &'static str) -> Self {
+        Family { json, ..self }
+    }
+
+    const fn help(self, help: &'static str) -> Self {
+        Family { help, ..self }
+    }
+
+    const fn labels(self, labels: Labels) -> Self {
+        Family { labels, ..self }
+    }
+
+    /// Each series' label set (without braces) and JSON key.
+    fn series(&self) -> Vec<(String, &'static str)> {
+        match self.labels {
+            Labels::None => vec![(String::new(), self.json)],
+            Labels::Values(label, values) => values
                 .iter()
-                .map(|(label, count)| ((*label).to_string(), count.to_value()))
+                .map(|value| (format!("{label}=\"{value}\""), *value))
                 .collect(),
-        );
-        let histogram = |bucket_counts: &[u64], sum_us: u64, count: u64| {
-            let buckets = Value::Array(
-                bucket_counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, count)| {
-                        let le = LATENCY_BUCKETS_US
-                            .get(i)
-                            .map_or_else(|| "+inf".to_string(), u64::to_string);
-                        Value::Object(vec![
-                            ("le_us".to_string(), Value::String(le)),
-                            ("count".to_string(), count.to_value()),
-                        ])
-                    })
-                    .collect(),
-            );
-            Value::Object(vec![
-                ("buckets".to_string(), buckets),
-                ("sum".to_string(), sum_us.to_value()),
-                ("count".to_string(), count.to_value()),
-            ])
-        };
-        Value::Object(vec![
-            ("requests".to_string(), requests),
-            ("status_2xx".to_string(), self.status_2xx.to_value()),
-            ("status_4xx".to_string(), self.status_4xx.to_value()),
-            ("status_5xx".to_string(), self.status_5xx.to_value()),
-            (
-                "latency_us".to_string(),
-                histogram(
-                    &self.latency_buckets,
-                    self.latency_sum_us,
-                    self.latency_count,
-                ),
-            ),
-            (
-                "analysis_duration_us".to_string(),
-                Value::Object(vec![
-                    (
-                        "cold".to_string(),
-                        histogram(
-                            &self.analysis_cold_buckets,
-                            self.analysis_cold_sum_us,
-                            self.analysis_cold_count,
-                        ),
-                    ),
-                    (
-                        "hit".to_string(),
-                        histogram(
-                            &self.analysis_hit_buckets,
-                            self.analysis_hit_sum_us,
-                            self.analysis_hit_count,
-                        ),
-                    ),
-                    (
-                        "streaming".to_string(),
-                        histogram(
-                            &self.analysis_streaming_buckets,
-                            self.analysis_streaming_sum_us,
-                            self.analysis_streaming_count,
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "streaming_update_us".to_string(),
-                histogram(
-                    &self.streaming_update_buckets,
-                    self.streaming_update_sum_us,
-                    self.streaming_updates_total,
-                ),
-            ),
-            (
-                "streaming_updates_total".to_string(),
-                self.streaming_updates_total.to_value(),
-            ),
-            ("pool_workers".to_string(), self.pool_workers.to_value()),
-            (
-                "pool_steals_total".to_string(),
-                self.pool_steals_total.to_value(),
-            ),
-            (
-                "adaptive_step_us".to_string(),
-                histogram(
-                    &self.adaptive_step_buckets,
-                    self.adaptive_step_sum_us,
-                    self.adaptive_steps_total,
-                ),
-            ),
-            (
-                "adaptive_steps_total".to_string(),
-                self.adaptive_steps_total.to_value(),
-            ),
-            (
-                "adaptive_sessions_started".to_string(),
-                self.adaptive_sessions_started.to_value(),
-            ),
-            (
-                "adaptive_sessions_finished".to_string(),
-                self.adaptive_sessions_finished.to_value(),
-            ),
-            (
-                "adaptive_sessions_active".to_string(),
-                (self.adaptive_sessions_active as u64).to_value(),
-            ),
-            (
-                "sessions_started".to_string(),
-                self.sessions_started.to_value(),
-            ),
-            (
-                "sessions_finished".to_string(),
-                self.sessions_finished.to_value(),
-            ),
-            (
-                "active_sessions".to_string(),
-                (self.active_sessions as u64).to_value(),
-            ),
-            ("shed_total".to_string(), self.shed_total.to_value()),
-            (
-                "rate_limited_total".to_string(),
-                self.rate_limited_total.to_value(),
-            ),
-            ("queue_depth".to_string(), self.queue_depth.to_value()),
-            (
-                "inflight_requests".to_string(),
-                self.inflight_requests.to_value(),
-            ),
-            ("drain_state".to_string(), self.drain_state.to_value()),
-            (
-                "retry_after_secs".to_string(),
-                self.retry_after_secs.to_value(),
-            ),
-            ("repl_role".to_string(), self.repl_role.to_value()),
-            ("repl_epoch".to_string(), self.repl_epoch.to_value()),
-            (
-                "repl_last_applied_seq".to_string(),
-                self.repl_last_applied_seq.to_value(),
-            ),
-            ("repl_lag".to_string(), self.repl_lag.to_value()),
-            ("repl_followers".to_string(), self.repl_followers.to_value()),
-            (
-                "repl_quorum_timeouts_total".to_string(),
-                self.repl_quorum_timeouts_total.to_value(),
-            ),
-            (
-                "redirected_total".to_string(),
-                self.redirected_total.to_value(),
-            ),
-            (
-                "repl_failovers_total".to_string(),
-                self.repl_failovers_total.to_value(),
-            ),
-            (
-                "repl_suspicions_total".to_string(),
-                self.repl_suspicions_total.to_value(),
-            ),
-            (
-                "repl_reconnects_total".to_string(),
-                self.repl_reconnects_total.to_value(),
-            ),
-            (
-                "repl_heartbeat_age_us".to_string(),
-                self.repl_heartbeat_age_us.to_value(),
-            ),
-            (
-                "scrub_passes_total".to_string(),
-                self.scrub_passes_total.to_value(),
-            ),
-            (
-                "scrub_corrupt_segments_total".to_string(),
-                self.scrub_corrupt_segments_total.to_value(),
-            ),
-            (
-                "repair_segments_total".to_string(),
-                self.repair_segments_total.to_value(),
-            ),
-            (
-                "storage_degraded".to_string(),
-                self.storage_degraded.to_value(),
-            ),
-        ])
+            Labels::Sets(sets) => sets
+                .iter()
+                .map(|(labels, key)| ((*labels).to_string(), *key))
+                .collect(),
+        }
+    }
+}
+
+const fn counter(slot: Slot, name: &'static str) -> Family {
+    Family::new("counter", Slots(slot), name)
+}
+
+const fn gauge(slot: Slot, name: &'static str) -> Family {
+    Family::new("gauge", Slots(slot), name)
+}
+
+const fn histogram(hist: Hist, name: &'static str) -> Family {
+    Family::new("histogram", Hists(hist), name)
+}
+
+use {Slot::*, Src::*};
+
+/// Every `/metrics` family, in Prometheus render order.
+const TABLE: &[Family] = &[
+    counter(Requests, "mine_requests_total")
+        .json("requests")
+        .help("Requests served, by route.")
+        .labels(Labels::Values("route", &Route::LABELS)),
+    counter(Status2xx, "mine_responses_total")
+        .help("Responses sent, by status class.")
+        .labels(Labels::Sets(&[
+            ("class=\"2xx\"", "status_2xx"),
+            ("class=\"4xx\"", "status_4xx"),
+            ("class=\"5xx\"", "status_5xx"),
+        ])),
+    histogram(Hist::Latency, "mine_request_duration_seconds")
+        .json("latency_us")
+        .help("Request latency."),
+    histogram(Hist::AnalysisCold, "mine_analysis_duration_seconds")
+        .json("analysis_duration_us")
+        .help("Analysis wall time by mode (batch runs carry the cache outcome).")
+        .labels(Labels::Sets(&[
+            ("mode=\"batch\",cache=\"cold\"", "cold"),
+            ("mode=\"batch\",cache=\"hit\"", "hit"),
+            ("mode=\"streaming\"", "streaming"),
+        ])),
+    histogram(Hist::StreamingUpdate, "mine_streaming_update_seconds")
+        .json("streaming_update_us")
+        .help("Finish-time streaming statistics update."),
+    Family::new(
+        "counter",
+        Count(Hist::StreamingUpdate),
+        "mine_streaming_updates_total",
+    )
+    .json("streaming_updates_total")
+    .help("Finish-time streaming engine updates applied."),
+    histogram(Hist::AdaptiveStep, "mine_adaptive_step_seconds")
+        .json("adaptive_step_us")
+        .help("Adaptive step: grade, re-estimate, next item."),
+    Family::new(
+        "counter",
+        Count(Hist::AdaptiveStep),
+        "mine_adaptive_steps_total",
+    )
+    .json("adaptive_steps_total")
+    .help("Adaptive steps ever served."),
+    counter(SessionsStarted, "mine_sessions_started_total")
+        .json("sessions_started")
+        .help("Sessions ever started."),
+    counter(SessionsFinished, "mine_sessions_finished_total")
+        .json("sessions_finished")
+        .help("Sessions ever finished."),
+    counter(AdaptiveStarted, "mine_adaptive_sessions_started_total")
+        .json("adaptive_sessions_started")
+        .help("Adaptive (CAT) sittings ever started."),
+    counter(AdaptiveFinished, "mine_adaptive_sessions_finished_total")
+        .json("adaptive_sessions_finished")
+        .help("Adaptive (CAT) sittings ever finished."),
+    counter(ShedTotal, "mine_shed_total")
+        .json("shed_total")
+        .help("Connections and requests shed with 503 (full queue or draining)."),
+    counter(RateLimitedTotal, "mine_rate_limited_total")
+        .json("rate_limited_total")
+        .help("Connections shed by per-peer token-bucket rate limiting."),
+    gauge(ActiveSessions, "mine_active_sessions")
+        .json("active_sessions")
+        .help("Sessions currently resident in the registry."),
+    gauge(AdaptiveActive, "mine_adaptive_sessions_active")
+        .json("adaptive_sessions_active")
+        .help("Adaptive (CAT) sittings currently resident in the registry."),
+    gauge(QueueDepth, "mine_queue_depth")
+        .json("queue_depth")
+        .help("Accepted connections waiting for a worker."),
+    gauge(InflightRequests, "mine_inflight_requests")
+        .json("inflight_requests")
+        .help("Requests currently being handled."),
+    gauge(DrainState, "mine_drain_state")
+        .json("drain_state")
+        .help("Lifecycle: 0 running, 1 draining, 2 stopped."),
+    gauge(RetryAfterSecs, "mine_retry_after_seconds")
+        .json("retry_after_secs")
+        .help("Retry-After seconds most recently advertised on a shed response."),
+    gauge(PoolWorkers, "mine_pool_workers")
+        .json("pool_workers")
+        .help("Worker threads spawned by the work-stealing analysis pool."),
+    gauge(StorageDegraded, "mine_storage_degraded")
+        .json("storage_degraded")
+        .help("Storage health: 1 while the WAL refuses writes (degraded read-only), 0 healthy."),
+    Family::new("gauge", OneHot(ReplRole), "mine_repl_role")
+        .json("repl_role")
+        .help("Replication role (one-hot).")
+        .labels(Labels::Values(
+            "role",
+            &["primary", "follower", "candidate"],
+        )),
+    gauge(ReplEpoch, "mine_repl_epoch")
+        .json("repl_epoch")
+        .help("Durable replication epoch (bumped by promotion)."),
+    gauge(ReplLastAppliedSeq, "mine_repl_last_applied_seq")
+        .json("repl_last_applied_seq")
+        .help("Highest journal sequence applied locally."),
+    gauge(ReplLag, "mine_repl_lag").json("repl_lag").help(
+        "Replication lag in records (primary: head minus slowest ack; \
+         follower: leader head minus applied).",
+    ),
+    gauge(ReplFollowers, "mine_repl_followers")
+        .json("repl_followers")
+        .help("Followers currently streaming from this node."),
+    Family::new(
+        "gauge",
+        Micros(ReplHeartbeatAgeUs),
+        "mine_repl_heartbeat_age_seconds",
+    )
+    .json("repl_heartbeat_age_us")
+    .help("Time since the follower last heard from its leader (0 on a primary)."),
+    counter(ReplQuorumTimeouts, "mine_repl_quorum_timeouts_total")
+        .json("repl_quorum_timeouts_total")
+        .help("Quorum-ack waits that timed out (write proceeded leader-only)."),
+    counter(Redirected, "mine_redirected_total")
+        .json("redirected_total")
+        .help("Writes refused with 421 and pointed at the leader."),
+    counter(PoolSteals, "mine_pool_steals_total")
+        .json("pool_steals_total")
+        .help("Pool tasks executed by a worker other than the one that queued them."),
+    counter(ReplFailovers, "mine_repl_failovers_total")
+        .json("repl_failovers_total")
+        .help("Unsupervised promotions performed by the failure detector."),
+    counter(ReplSuspicions, "mine_repl_suspicions_total")
+        .json("repl_suspicions_total")
+        .help("Leader suspicions raised by the failure detector."),
+    counter(ReplReconnects, "mine_repl_reconnects_total")
+        .json("repl_reconnects_total")
+        .help("Follower reconnection attempts after a broken stream."),
+    counter(ScrubPasses, "mine_scrub_passes_total")
+        .json("scrub_passes_total")
+        .help("Completed anti-entropy scrub passes."),
+    counter(ScrubCorruptSegments, "mine_scrub_corrupt_segments_total")
+        .json("scrub_corrupt_segments_total")
+        .help("Sealed segments a scrub pass found corrupt."),
+    counter(RepairSegments, "mine_repair_segments_total")
+        .json("repair_segments_total")
+        .help("Segments quarantined and repaired from a healthy peer."),
+];
+
+/// Microseconds as fractional seconds, the Prometheus time unit.
+fn secs(us: u64) -> f64 {
+    us as f64 / 1_000_000.0
+}
+
+/// A label set in braces, or nothing for an unlabelled series.
+fn braced(labels: &str) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
     }
 }
 
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): `# TYPE` lines, one sample per line, histogram
-    /// buckets with *cumulative* counts and `le` bounds in seconds.
+    /// (version 0.0.4): `# HELP` and `# TYPE` lines, one sample per
+    /// line, histogram buckets with *cumulative* counts and `le` bounds
+    /// in seconds.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-
-        out.push_str("# HELP mine_requests_total Requests served, by route.\n");
-        out.push_str("# TYPE mine_requests_total counter\n");
-        for (label, count) in &self.requests {
-            out.push_str(&format!(
-                "mine_requests_total{{route=\"{label}\"}} {count}\n"
-            ));
-        }
-
-        out.push_str("# HELP mine_responses_total Responses sent, by status class.\n");
-        out.push_str("# TYPE mine_responses_total counter\n");
-        for (class, count) in [
-            ("2xx", self.status_2xx),
-            ("4xx", self.status_4xx),
-            ("5xx", self.status_5xx),
-        ] {
-            out.push_str(&format!(
-                "mine_responses_total{{class=\"{class}\"}} {count}\n"
-            ));
-        }
-
-        out.push_str("# HELP mine_request_duration_seconds Request latency.\n");
-        out.push_str("# TYPE mine_request_duration_seconds histogram\n");
-        // The internal buckets hold per-bucket counts; Prometheus
-        // histogram buckets are cumulative.
-        let mut cumulative = 0_u64;
-        for (i, count) in self.latency_buckets.iter().enumerate() {
-            cumulative += count;
-            let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                || "+Inf".to_string(),
-                |&us| format!("{}", us as f64 / 1_000_000.0),
-            );
-            out.push_str(&format!(
-                "mine_request_duration_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "mine_request_duration_seconds_sum {}\n",
-            self.latency_sum_us as f64 / 1_000_000.0
-        ));
-        out.push_str(&format!(
-            "mine_request_duration_seconds_count {}\n",
-            self.latency_count
-        ));
-
-        out.push_str(
-            "# HELP mine_analysis_duration_seconds Analysis wall time by mode (batch runs carry the cache outcome).\n",
-        );
-        out.push_str("# TYPE mine_analysis_duration_seconds histogram\n");
-        for (labels, buckets, sum_us, count) in [
-            (
-                "mode=\"batch\",cache=\"cold\"",
-                &self.analysis_cold_buckets,
-                self.analysis_cold_sum_us,
-                self.analysis_cold_count,
-            ),
-            (
-                "mode=\"batch\",cache=\"hit\"",
-                &self.analysis_hit_buckets,
-                self.analysis_hit_sum_us,
-                self.analysis_hit_count,
-            ),
-            (
-                "mode=\"streaming\"",
-                &self.analysis_streaming_buckets,
-                self.analysis_streaming_sum_us,
-                self.analysis_streaming_count,
-            ),
-        ] {
-            let mut cumulative = 0_u64;
-            for (i, bucket_count) in buckets.iter().enumerate() {
-                cumulative += bucket_count;
-                let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                    || "+Inf".to_string(),
-                    |&us| format!("{}", us as f64 / 1_000_000.0),
-                );
-                out.push_str(&format!(
-                    "mine_analysis_duration_seconds_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-                ));
+        let mut out = String::with_capacity(8192);
+        for family in TABLE {
+            let (name, kind, help) = (family.name, family.kind, family.help);
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            for (i, (labels, _)) in family.series().iter().enumerate() {
+                let value = match family.src {
+                    Hists(hist) => {
+                        self.histograms[hist as usize + i].write_prometheus(&mut out, name, labels);
+                        continue;
+                    }
+                    Slots(slot) => self.values[slot as usize + i].to_string(),
+                    Count(hist) => self.histograms[hist as usize].count.to_string(),
+                    Micros(slot) => secs(self.values[slot as usize]).to_string(),
+                    OneHot(slot) => u64::from(self.values[slot as usize] == i as u64).to_string(),
+                };
+                out.push_str(&format!("{name}{} {value}\n", braced(labels)));
             }
-            out.push_str(&format!(
-                "mine_analysis_duration_seconds_sum{{{labels}}} {}\n",
-                sum_us as f64 / 1_000_000.0
-            ));
-            out.push_str(&format!(
-                "mine_analysis_duration_seconds_count{{{labels}}} {count}\n"
-            ));
-        }
-
-        out.push_str(
-            "# HELP mine_streaming_update_seconds Finish-time streaming statistics update.\n",
-        );
-        out.push_str("# TYPE mine_streaming_update_seconds histogram\n");
-        let mut cumulative = 0_u64;
-        for (i, bucket_count) in self.streaming_update_buckets.iter().enumerate() {
-            cumulative += bucket_count;
-            let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                || "+Inf".to_string(),
-                |&us| format!("{}", us as f64 / 1_000_000.0),
-            );
-            out.push_str(&format!(
-                "mine_streaming_update_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "mine_streaming_update_seconds_sum {}\n",
-            self.streaming_update_sum_us as f64 / 1_000_000.0
-        ));
-        out.push_str(&format!(
-            "mine_streaming_update_seconds_count {}\n",
-            self.streaming_updates_total
-        ));
-        out.push_str(
-            "# HELP mine_streaming_updates_total Finish-time streaming engine updates applied.\n",
-        );
-        out.push_str("# TYPE mine_streaming_updates_total counter\n");
-        out.push_str(&format!(
-            "mine_streaming_updates_total {}\n",
-            self.streaming_updates_total
-        ));
-
-        out.push_str(
-            "# HELP mine_adaptive_step_seconds Adaptive step: grade, re-estimate, next item.\n",
-        );
-        out.push_str("# TYPE mine_adaptive_step_seconds histogram\n");
-        let mut cumulative = 0_u64;
-        for (i, bucket_count) in self.adaptive_step_buckets.iter().enumerate() {
-            cumulative += bucket_count;
-            let le = LATENCY_BUCKETS_US.get(i).map_or_else(
-                || "+Inf".to_string(),
-                |&us| format!("{}", us as f64 / 1_000_000.0),
-            );
-            out.push_str(&format!(
-                "mine_adaptive_step_seconds_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "mine_adaptive_step_seconds_sum {}\n",
-            self.adaptive_step_sum_us as f64 / 1_000_000.0
-        ));
-        out.push_str(&format!(
-            "mine_adaptive_step_seconds_count {}\n",
-            self.adaptive_steps_total
-        ));
-        out.push_str("# HELP mine_adaptive_steps_total Adaptive steps ever served.\n");
-        out.push_str("# TYPE mine_adaptive_steps_total counter\n");
-        out.push_str(&format!(
-            "mine_adaptive_steps_total {}\n",
-            self.adaptive_steps_total
-        ));
-
-        for (name, help, value) in [
-            (
-                "mine_sessions_started_total",
-                "Sessions ever started.",
-                self.sessions_started,
-            ),
-            (
-                "mine_sessions_finished_total",
-                "Sessions ever finished.",
-                self.sessions_finished,
-            ),
-            (
-                "mine_adaptive_sessions_started_total",
-                "Adaptive (CAT) sittings ever started.",
-                self.adaptive_sessions_started,
-            ),
-            (
-                "mine_adaptive_sessions_finished_total",
-                "Adaptive (CAT) sittings ever finished.",
-                self.adaptive_sessions_finished,
-            ),
-            (
-                "mine_shed_total",
-                "Connections and requests shed with 503 (full queue or draining).",
-                self.shed_total,
-            ),
-            (
-                "mine_rate_limited_total",
-                "Connections shed by per-peer token-bucket rate limiting.",
-                self.rate_limited_total,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, help, value) in [
-            (
-                "mine_active_sessions",
-                "Sessions currently resident in the registry.",
-                self.active_sessions as u64,
-            ),
-            (
-                "mine_adaptive_sessions_active",
-                "Adaptive (CAT) sittings currently resident in the registry.",
-                self.adaptive_sessions_active as u64,
-            ),
-            (
-                "mine_queue_depth",
-                "Accepted connections waiting for a worker.",
-                self.queue_depth,
-            ),
-            (
-                "mine_inflight_requests",
-                "Requests currently being handled.",
-                self.inflight_requests,
-            ),
-            (
-                "mine_drain_state",
-                "Lifecycle: 0 running, 1 draining, 2 stopped.",
-                self.drain_state,
-            ),
-            (
-                "mine_retry_after_seconds",
-                "Retry-After seconds most recently advertised on a shed response.",
-                self.retry_after_secs,
-            ),
-            (
-                "mine_pool_workers",
-                "Worker threads spawned by the work-stealing analysis pool.",
-                self.pool_workers,
-            ),
-            (
-                "mine_storage_degraded",
-                "Storage health: 1 while the WAL refuses writes (degraded read-only), 0 healthy.",
-                self.storage_degraded,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-
-        out.push_str("# HELP mine_repl_role Replication role (one-hot).\n");
-        out.push_str("# TYPE mine_repl_role gauge\n");
-        for (index, role) in ["primary", "follower", "candidate"].iter().enumerate() {
-            let hot = u64::from(self.repl_role == index as u64);
-            out.push_str(&format!("mine_repl_role{{role=\"{role}\"}} {hot}\n"));
-        }
-        for (name, help, value) in [
-            (
-                "mine_repl_epoch",
-                "Durable replication epoch (bumped by promotion).",
-                self.repl_epoch,
-            ),
-            (
-                "mine_repl_last_applied_seq",
-                "Highest journal sequence applied locally.",
-                self.repl_last_applied_seq,
-            ),
-            (
-                "mine_repl_lag",
-                "Replication lag in records (primary: head minus slowest ack; follower: leader head minus applied).",
-                self.repl_lag,
-            ),
-            (
-                "mine_repl_followers",
-                "Followers currently streaming from this node.",
-                self.repl_followers,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        out.push_str(
-            "# HELP mine_repl_heartbeat_age_seconds Time since the follower last heard from its leader (0 on a primary).\n",
-        );
-        out.push_str("# TYPE mine_repl_heartbeat_age_seconds gauge\n");
-        out.push_str(&format!(
-            "mine_repl_heartbeat_age_seconds {}\n",
-            self.repl_heartbeat_age_us as f64 / 1_000_000.0
-        ));
-        for (name, help, value) in [
-            (
-                "mine_repl_quorum_timeouts_total",
-                "Quorum-ack waits that timed out (write proceeded leader-only).",
-                self.repl_quorum_timeouts_total,
-            ),
-            (
-                "mine_redirected_total",
-                "Writes refused with 421 and pointed at the leader.",
-                self.redirected_total,
-            ),
-            (
-                "mine_pool_steals_total",
-                "Pool tasks executed by a worker other than the one that queued them.",
-                self.pool_steals_total,
-            ),
-            (
-                "mine_repl_failovers_total",
-                "Unsupervised promotions performed by the failure detector.",
-                self.repl_failovers_total,
-            ),
-            (
-                "mine_repl_suspicions_total",
-                "Leader suspicions raised by the failure detector.",
-                self.repl_suspicions_total,
-            ),
-            (
-                "mine_repl_reconnects_total",
-                "Follower reconnection attempts after a broken stream.",
-                self.repl_reconnects_total,
-            ),
-            (
-                "mine_scrub_passes_total",
-                "Completed anti-entropy scrub passes.",
-                self.scrub_passes_total,
-            ),
-            (
-                "mine_scrub_corrupt_segments_total",
-                "Sealed segments a scrub pass found corrupt.",
-                self.scrub_corrupt_segments_total,
-            ),
-            (
-                "mine_repair_segments_total",
-                "Segments quarantined and repaired from a healthy peer.",
-                self.repair_segments_total,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {value}\n"));
         }
         out
+    }
+
+    /// The number at `path` in the JSON rendering, keys and array
+    /// indices joined by `.`: `shed_total`, `requests.answer`,
+    /// `latency_us.buckets.0.count`.
+    ///
+    /// # Panics
+    ///
+    /// When `path` names no number.
+    #[must_use]
+    pub fn get(&self, path: &str) -> u64 {
+        let mut value = self.to_value();
+        for key in path.split('.') {
+            value = match value {
+                Value::Array(items) => key
+                    .parse()
+                    .ok()
+                    .and_then(|i: usize| items.into_iter().nth(i)),
+                object => object.get(key).cloned(),
+            }
+            .unwrap_or_else(|| panic!("no metric at {path}"));
+        }
+        match value {
+            Value::Number(Number::PosInt(n)) => n,
+            other => panic!("{path} is {other:?}, not a number"),
+        }
+    }
+}
+
+impl Serialize for MetricsSnapshot {
+    fn to_value(&self) -> Value {
+        let mut top = Vec::new();
+        for family in TABLE {
+            let value = |i: usize| match family.src {
+                Slots(slot) => self.values[slot as usize + i].to_value(),
+                Hists(hist) => self.histograms[hist as usize + i].to_value(),
+                Count(hist) => self.histograms[hist as usize].count.to_value(),
+                Micros(slot) | OneHot(slot) => self.values[slot as usize].to_value(),
+            };
+            let series = family.series().into_iter().enumerate();
+            let members = series.map(|(i, (_, key))| (key.to_string(), value(i)));
+            match (family.labels, family.src) {
+                (Labels::None, _) | (_, OneHot(_)) => top.push((family.json.to_string(), value(0))),
+                _ if family.json.is_empty() => top.extend(members),
+                _ => top.push((family.json.to_string(), Value::Object(members.collect()))),
+            }
+        }
+        Value::Object(top)
     }
 }
 
@@ -1160,27 +668,27 @@ mod tests {
         metrics.record(Route::Healthz, 200, Duration::from_micros(50));
         metrics.record(Route::Answer, 422, Duration::from_micros(300));
         metrics.record(Route::Analysis, 500, Duration::from_secs(2));
-        metrics.session_started();
-        metrics.session_finished();
+        metrics.add(Slot::SessionsStarted, 1);
+        metrics.add(Slot::SessionsFinished, 1);
 
         let snapshot = metrics.snapshot(3, 0);
-        let by_label: std::collections::HashMap<_, _> = snapshot.requests.iter().copied().collect();
-        assert_eq!(by_label["healthz"], 1);
-        assert_eq!(by_label["answer"], 1);
-        assert_eq!(by_label["analysis"], 1);
-        assert_eq!(by_label["session_start"], 0);
-        assert_eq!(snapshot.status_2xx, 1);
-        assert_eq!(snapshot.status_4xx, 1);
-        assert_eq!(snapshot.status_5xx, 1);
-        assert_eq!(snapshot.latency_count, 3);
+        let by_label = |route: &str| snapshot.get(&format!("requests.{route}"));
+        assert_eq!(by_label("healthz"), 1);
+        assert_eq!(by_label("answer"), 1);
+        assert_eq!(by_label("analysis"), 1);
+        assert_eq!(by_label("session_start"), 0);
+        assert_eq!(snapshot.get("status_2xx"), 1);
+        assert_eq!(snapshot.get("status_4xx"), 1);
+        assert_eq!(snapshot.get("status_5xx"), 1);
+        assert_eq!(snapshot.get("latency_us.count"), 3);
         // 50 µs lands in the first bucket, 300 µs in the ≤500 bucket,
         // 2 s in the overflow bucket.
-        assert_eq!(snapshot.latency_buckets[0], 1);
-        assert_eq!(snapshot.latency_buckets[2], 1);
-        assert_eq!(*snapshot.latency_buckets.last().unwrap(), 1);
-        assert_eq!(snapshot.sessions_started, 1);
-        assert_eq!(snapshot.sessions_finished, 1);
-        assert_eq!(snapshot.active_sessions, 3);
+        assert_eq!(snapshot.get("latency_us.buckets.0.count"), 1);
+        assert_eq!(snapshot.get("latency_us.buckets.2.count"), 1);
+        assert_eq!(snapshot.get("latency_us.buckets.8.count"), 1);
+        assert_eq!(snapshot.get("sessions_started"), 1);
+        assert_eq!(snapshot.get("sessions_finished"), 1);
+        assert_eq!(snapshot.get("active_sessions"), 3);
     }
 
     #[test]
@@ -1211,23 +719,23 @@ mod tests {
     #[test]
     fn overload_gauges_and_counters_render_everywhere() {
         let metrics = Metrics::new();
-        metrics.shed(2);
-        metrics.shed(3);
-        metrics.rate_limited(1);
-        metrics.queue_enter();
-        metrics.queue_enter();
-        metrics.queue_exit();
-        metrics.inflight_enter();
-        metrics.set_drain_state(1);
+        metrics.shed(Slot::ShedTotal, 2);
+        metrics.shed(Slot::ShedTotal, 3);
+        metrics.shed(Slot::RateLimitedTotal, 1);
+        metrics.add(Slot::QueueDepth, 1);
+        metrics.add(Slot::QueueDepth, 1);
+        metrics.sub(Slot::QueueDepth, 1);
+        metrics.add(Slot::InflightRequests, 1);
+        metrics.set(Slot::DrainState, 1);
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.shed_total, 2);
-        assert_eq!(snapshot.rate_limited_total, 1);
-        assert_eq!(snapshot.queue_depth, 1);
-        assert_eq!(snapshot.inflight_requests, 1);
-        assert_eq!(snapshot.drain_state, 1);
+        assert_eq!(snapshot.get("shed_total"), 2);
+        assert_eq!(snapshot.get("rate_limited_total"), 1);
+        assert_eq!(snapshot.get("queue_depth"), 1);
+        assert_eq!(snapshot.get("inflight_requests"), 1);
+        assert_eq!(snapshot.get("drain_state"), 1);
         // The gauge remembers the most recent advertisement.
-        assert_eq!(snapshot.retry_after_secs, 1);
+        assert_eq!(snapshot.get("retry_after_secs"), 1);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_shed_total counter"));
@@ -1249,29 +757,33 @@ mod tests {
     #[test]
     fn repl_gauges_render_one_hot_role_and_counters() {
         let metrics = Metrics::new();
-        metrics.set_repl(1, 3, 41, 2, 0);
-        metrics.quorum_timeout();
-        metrics.redirected();
-        metrics.redirected();
-        metrics.suspicion();
-        metrics.suspicion();
-        metrics.failover();
-        metrics.repl_reconnect();
-        metrics.repl_reconnect();
-        metrics.repl_reconnect();
-        metrics.set_repl_heartbeat_age(2_500_000);
+        metrics.set(Slot::ReplRole, 1);
+        metrics.set(Slot::ReplEpoch, 3);
+        metrics.set(Slot::ReplLastAppliedSeq, 41);
+        metrics.set(Slot::ReplLag, 2);
+        metrics.set(Slot::ReplFollowers, 0);
+        metrics.add(Slot::ReplQuorumTimeouts, 1);
+        metrics.add(Slot::Redirected, 1);
+        metrics.add(Slot::Redirected, 1);
+        metrics.add(Slot::ReplSuspicions, 1);
+        metrics.add(Slot::ReplSuspicions, 1);
+        metrics.add(Slot::ReplFailovers, 1);
+        metrics.add(Slot::ReplReconnects, 1);
+        metrics.add(Slot::ReplReconnects, 1);
+        metrics.add(Slot::ReplReconnects, 1);
+        metrics.set(Slot::ReplHeartbeatAgeUs, 2_500_000);
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.repl_role, 1);
-        assert_eq!(snapshot.repl_epoch, 3);
-        assert_eq!(snapshot.repl_last_applied_seq, 41);
-        assert_eq!(snapshot.repl_lag, 2);
-        assert_eq!(snapshot.repl_quorum_timeouts_total, 1);
-        assert_eq!(snapshot.redirected_total, 2);
-        assert_eq!(snapshot.repl_suspicions_total, 2);
-        assert_eq!(snapshot.repl_failovers_total, 1);
-        assert_eq!(snapshot.repl_reconnects_total, 3);
-        assert_eq!(snapshot.repl_heartbeat_age_us, 2_500_000);
+        assert_eq!(snapshot.get("repl_role"), 1);
+        assert_eq!(snapshot.get("repl_epoch"), 3);
+        assert_eq!(snapshot.get("repl_last_applied_seq"), 41);
+        assert_eq!(snapshot.get("repl_lag"), 2);
+        assert_eq!(snapshot.get("repl_quorum_timeouts_total"), 1);
+        assert_eq!(snapshot.get("redirected_total"), 2);
+        assert_eq!(snapshot.get("repl_suspicions_total"), 2);
+        assert_eq!(snapshot.get("repl_failovers_total"), 1);
+        assert_eq!(snapshot.get("repl_reconnects_total"), 3);
+        assert_eq!(snapshot.get("repl_heartbeat_age_us"), 2_500_000);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("mine_repl_role{role=\"primary\"} 0"));
@@ -1300,17 +812,17 @@ mod tests {
     #[test]
     fn scrub_and_degraded_metrics_render_everywhere() {
         let metrics = Metrics::new();
-        metrics.scrub_pass();
-        metrics.scrub_pass();
-        metrics.scrub_corruption(3);
-        metrics.repair_segment();
-        metrics.set_storage_degraded(true);
+        metrics.add(Slot::ScrubPasses, 1);
+        metrics.add(Slot::ScrubPasses, 1);
+        metrics.add(Slot::ScrubCorruptSegments, 3);
+        metrics.add(Slot::RepairSegments, 1);
+        metrics.set(Slot::StorageDegraded, 1);
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.scrub_passes_total, 2);
-        assert_eq!(snapshot.scrub_corrupt_segments_total, 3);
-        assert_eq!(snapshot.repair_segments_total, 1);
-        assert_eq!(snapshot.storage_degraded, 1);
+        assert_eq!(snapshot.get("scrub_passes_total"), 2);
+        assert_eq!(snapshot.get("scrub_corrupt_segments_total"), 3);
+        assert_eq!(snapshot.get("repair_segments_total"), 1);
+        assert_eq!(snapshot.get("storage_degraded"), 1);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_scrub_passes_total counter"));
@@ -1321,7 +833,7 @@ mod tests {
         assert!(text.contains("# TYPE mine_storage_degraded gauge"));
         assert!(text.contains("mine_storage_degraded 1"));
 
-        metrics.set_storage_degraded(false);
+        metrics.set(Slot::StorageDegraded, 0);
         let text = metrics.snapshot(0, 0).to_prometheus();
         assert!(text.contains("mine_storage_degraded 0"));
 
@@ -1339,22 +851,26 @@ mod tests {
     #[test]
     fn analysis_histogram_is_labeled_by_mode_and_cache_outcome() {
         let metrics = Metrics::new();
-        metrics.record_analysis(false, Duration::from_millis(20));
-        metrics.record_analysis(false, Duration::from_millis(90));
-        metrics.record_analysis(true, Duration::from_micros(40));
-        metrics.record_streaming_analysis(Duration::from_micros(60));
-        metrics.set_pool(4, 17);
+        metrics.observe(Hist::AnalysisCold, Duration::from_millis(20));
+        metrics.observe(Hist::AnalysisCold, Duration::from_millis(90));
+        metrics.observe(Hist::AnalysisHit, Duration::from_micros(40));
+        metrics.observe(Hist::AnalysisStreaming, Duration::from_micros(60));
+        metrics.set(Slot::PoolWorkers, 4);
+        metrics.set(Slot::PoolSteals, 17);
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.analysis_cold_count, 2);
-        assert_eq!(snapshot.analysis_hit_count, 1);
-        assert_eq!(snapshot.analysis_streaming_count, 1);
+        assert_eq!(snapshot.get("analysis_duration_us.cold.count"), 2);
+        assert_eq!(snapshot.get("analysis_duration_us.hit.count"), 1);
+        assert_eq!(snapshot.get("analysis_duration_us.streaming.count"), 1);
         // 40 µs lands in the first hit bucket; cold times stay separate.
-        assert_eq!(snapshot.analysis_hit_buckets[0], 1);
-        assert_eq!(snapshot.analysis_cold_buckets[0], 0);
-        assert_eq!(snapshot.analysis_streaming_buckets[0], 1);
-        assert_eq!(snapshot.pool_workers, 4);
-        assert_eq!(snapshot.pool_steals_total, 17);
+        assert_eq!(snapshot.get("analysis_duration_us.hit.buckets.0.count"), 1);
+        assert_eq!(snapshot.get("analysis_duration_us.cold.buckets.0.count"), 0);
+        assert_eq!(
+            snapshot.get("analysis_duration_us.streaming.buckets.0.count"),
+            1
+        );
+        assert_eq!(snapshot.get("pool_workers"), 4);
+        assert_eq!(snapshot.get("pool_steals_total"), 17);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_analysis_duration_seconds histogram"));
@@ -1392,15 +908,15 @@ mod tests {
     #[test]
     fn streaming_updates_fill_counter_and_histogram() {
         let metrics = Metrics::new();
-        metrics.record_streaming_update(Duration::from_micros(80));
-        metrics.record_streaming_update(Duration::from_micros(400));
-        metrics.record_streaming_update(Duration::from_millis(30));
+        metrics.observe(Hist::StreamingUpdate, Duration::from_micros(80));
+        metrics.observe(Hist::StreamingUpdate, Duration::from_micros(400));
+        metrics.observe(Hist::StreamingUpdate, Duration::from_millis(30));
 
         let snapshot = metrics.snapshot(0, 0);
-        assert_eq!(snapshot.streaming_updates_total, 3);
-        assert_eq!(snapshot.streaming_update_buckets[0], 1);
-        assert_eq!(snapshot.streaming_update_buckets[2], 1);
-        assert_eq!(snapshot.streaming_update_sum_us, 80 + 400 + 30_000);
+        assert_eq!(snapshot.get("streaming_updates_total"), 3);
+        assert_eq!(snapshot.get("streaming_update_us.buckets.0.count"), 1);
+        assert_eq!(snapshot.get("streaming_update_us.buckets.2.count"), 1);
+        assert_eq!(snapshot.get("streaming_update_us.sum"), 80 + 400 + 30_000);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_streaming_update_seconds histogram"));
@@ -1426,19 +942,19 @@ mod tests {
     #[test]
     fn adaptive_counters_and_histogram_render_everywhere() {
         let metrics = Metrics::new();
-        metrics.adaptive_session_started();
-        metrics.adaptive_session_started();
-        metrics.adaptive_session_closed();
-        metrics.record_adaptive_step(Duration::from_micros(90));
-        metrics.record_adaptive_step(Duration::from_millis(40));
+        metrics.add(Slot::AdaptiveStarted, 1);
+        metrics.add(Slot::AdaptiveStarted, 1);
+        metrics.add(Slot::AdaptiveFinished, 1);
+        metrics.observe(Hist::AdaptiveStep, Duration::from_micros(90));
+        metrics.observe(Hist::AdaptiveStep, Duration::from_millis(40));
 
         let snapshot = metrics.snapshot(0, 1);
-        assert_eq!(snapshot.adaptive_sessions_started, 2);
-        assert_eq!(snapshot.adaptive_sessions_finished, 1);
-        assert_eq!(snapshot.adaptive_sessions_active, 1);
-        assert_eq!(snapshot.adaptive_steps_total, 2);
-        assert_eq!(snapshot.adaptive_step_buckets[0], 1);
-        assert_eq!(snapshot.adaptive_step_sum_us, 90 + 40_000);
+        assert_eq!(snapshot.get("adaptive_sessions_started"), 2);
+        assert_eq!(snapshot.get("adaptive_sessions_finished"), 1);
+        assert_eq!(snapshot.get("adaptive_sessions_active"), 1);
+        assert_eq!(snapshot.get("adaptive_steps_total"), 2);
+        assert_eq!(snapshot.get("adaptive_step_us.buckets.0.count"), 1);
+        assert_eq!(snapshot.get("adaptive_step_us.sum"), 90 + 40_000);
 
         let text = snapshot.to_prometheus();
         assert!(text.contains("# TYPE mine_adaptive_step_seconds histogram"));
@@ -1458,6 +974,104 @@ mod tests {
             .unwrap()
             .get("buckets")
             .is_some());
+    }
+
+    /// A deterministic snapshot in which every counter, gauge and
+    /// histogram holds a distinct non-zero value, with observations in
+    /// every latency bucket including `+Inf`.
+    fn golden_snapshot() -> MetricsSnapshot {
+        const LATENCIES_US: [u64; 9] =
+            [40, 170, 420, 730, 3_100, 17_000, 64_000, 480_000, 2_750_000];
+        let metrics = Metrics::new();
+        let mut n = 0;
+        for (i, route) in Route::ALL.iter().enumerate() {
+            for _ in 0..i + 3 {
+                let status = [200, 201, 204, 404, 429, 503, 200][n % 7];
+                metrics.record(
+                    *route,
+                    status,
+                    Duration::from_micros(LATENCIES_US[n % 9] + n as u64),
+                );
+                n += 1;
+            }
+        }
+        let observe = |count: usize, offset: usize, record: &dyn Fn(Duration)| {
+            for k in 0..count {
+                record(Duration::from_micros(
+                    LATENCIES_US[(k + offset) % 9] + k as u64,
+                ));
+            }
+        };
+        observe(50, 0, &|d| metrics.observe(Hist::AnalysisCold, d));
+        observe(51, 1, &|d| metrics.observe(Hist::AnalysisHit, d));
+        observe(52, 2, &|d| metrics.observe(Hist::AnalysisStreaming, d));
+        observe(53, 3, &|d| metrics.observe(Hist::StreamingUpdate, d));
+        observe(54, 4, &|d| metrics.observe(Hist::AdaptiveStep, d));
+        metrics.add(Slot::SessionsStarted, 23);
+        metrics.add(Slot::SessionsFinished, 24);
+        metrics.add(Slot::ShedTotal, 25);
+        metrics.add(Slot::RateLimitedTotal, 26);
+        metrics.set(Slot::RetryAfterSecs, 27);
+        metrics.add(Slot::QueueDepth, 30);
+        metrics.sub(Slot::QueueDepth, 2);
+        metrics.add(Slot::InflightRequests, 29);
+        metrics.set(Slot::DrainState, 2);
+        metrics.set(Slot::ReplRole, 1);
+        metrics.set(Slot::ReplEpoch, 31);
+        metrics.set(Slot::ReplLastAppliedSeq, 32);
+        metrics.set(Slot::ReplLag, 33);
+        metrics.set(Slot::ReplFollowers, 34);
+        metrics.set(Slot::ReplHeartbeatAgeUs, 2_345_678);
+        metrics.add(Slot::ReplQuorumTimeouts, 35);
+        metrics.add(Slot::Redirected, 36);
+        metrics.add(Slot::ReplFailovers, 37);
+        metrics.add(Slot::ReplSuspicions, 38);
+        metrics.add(Slot::ReplReconnects, 39);
+        metrics.set(Slot::PoolWorkers, 40);
+        metrics.set(Slot::PoolSteals, 41);
+        metrics.add(Slot::AdaptiveStarted, 42);
+        metrics.add(Slot::AdaptiveFinished, 43);
+        metrics.add(Slot::ScrubPasses, 46);
+        metrics.add(Slot::ScrubCorruptSegments, 47);
+        metrics.add(Slot::RepairSegments, 48);
+        metrics.set(Slot::StorageDegraded, 1);
+        metrics.snapshot(44, 45)
+    }
+
+    /// Sorts object keys at every level, so two renderings compare by
+    /// keys and values alone.
+    fn sorted(value: Value) -> Value {
+        match value {
+            Value::Object(entries) => {
+                let mut entries: Vec<_> =
+                    entries.into_iter().map(|(k, v)| (k, sorted(v))).collect();
+                entries.sort_by(|a, b| a.0.cmp(&b.0));
+                Value::Object(entries)
+            }
+            Value::Array(items) => Value::Array(items.into_iter().map(sorted).collect()),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn golden_renderings_match_the_fixtures() {
+        let snapshot = golden_snapshot();
+        assert_eq!(
+            snapshot.to_prometheus(),
+            include_str!("../tests/golden/metrics.prom")
+        );
+        let json: Value = serde_json::from_str(&serde_json::to_string(&snapshot).unwrap()).unwrap();
+        let fixture: Value =
+            serde_json::from_str(include_str!("../tests/golden/metrics.json")).unwrap();
+        assert_eq!(sorted(json), sorted(fixture));
+    }
+
+    #[test]
+    fn route_index_is_its_position_in_all() {
+        for (i, route) in Route::ALL.iter().enumerate() {
+            assert_eq!(route.index(), i);
+            assert_eq!(route.label(), Route::LABELS[i]);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::adaptive::{
 use crate::drain::Lifecycle;
 use crate::http::{Request, Response};
 use crate::journal::{Journal, ServerImage, SessionEvent};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{Hist, Metrics, Route, Slot};
 use crate::registry::{FinishedStore, RegistryError, SessionRegistry};
 use crate::repl::{ReplState, Role};
 
@@ -343,7 +343,7 @@ impl Router {
     fn journal_failed(&self, err: &mine_store::StoreError) -> ApiError {
         let reason = format!("journal append failed: {err}");
         if self.state.storage.degrade(reason.clone()) {
-            self.state.metrics.set_storage_degraded(true);
+            self.state.metrics.set(Slot::StorageDegraded, 1);
             eprintln!("[mine-serve] storage degraded (read-only): {reason}");
             self.spawn_healer();
         }
@@ -373,7 +373,7 @@ impl Router {
                 }
             }
             router.state.storage.clear();
-            router.state.metrics.set_storage_degraded(false);
+            router.state.metrics.set(Slot::StorageDegraded, 0);
             eprintln!("[mine-serve] storage healed: resuming writes");
             router.state.storage.release_healer();
             // A failure between the clear and the release could have
@@ -424,7 +424,7 @@ impl Router {
             // to completion (never mid-session).
             _ if self.state.lifecycle.is_draining() => {
                 let secs = self.state.lifecycle.retry_after_secs();
-                self.state.metrics.shed(secs);
+                self.state.metrics.shed(Slot::ShedTotal, secs);
                 (Route::Shed, Ok(Response::shed("server is draining", secs)))
             }
             ("POST", ["admin", "promote"]) => (Route::Promote, self.promote()),
@@ -441,7 +441,9 @@ impl Router {
                     .storage
                     .reason()
                     .unwrap_or_else(|| "storage degraded".to_string());
-                self.state.metrics.shed(DEGRADED_RETRY_SECS);
+                self.state
+                    .metrics
+                    .shed(Slot::ShedTotal, DEGRADED_RETRY_SECS);
                 (
                     Route::Shed,
                     Ok(Response::shed(
@@ -453,7 +455,7 @@ impl Router {
             // A follower is a read replica: every write is answered
             // with 421 naming the leader. Reads fall through.
             ("POST", ["sessions", ..]) if self.not_leader() => {
-                self.state.metrics.redirected();
+                self.state.metrics.add(Slot::Redirected, 1);
                 (Route::Redirected, self.redirect_to_leader())
             }
             ("POST", ["sessions"]) => (Route::SessionStart, self.start_session(request)),
@@ -526,9 +528,9 @@ impl Router {
     fn metrics(&self, request: &Request) -> ApiResult {
         self.refresh_repl_gauges();
         let pool = mine_pool::stats();
-        self.state
-            .metrics
-            .set_pool(pool.workers as u64, pool.steals);
+        let metrics = &self.state.metrics;
+        metrics.set(Slot::PoolWorkers, pool.workers as u64);
+        metrics.set(Slot::PoolSteals, pool.steals);
         let snapshot = self
             .state
             .metrics
@@ -562,9 +564,12 @@ impl Router {
         } else {
             (repl.leader_head().saturating_sub(head), 0)
         };
-        self.state
-            .metrics
-            .set_repl(role.gauge(), journal.store().epoch(), head, lag, followers);
+        let metrics = &self.state.metrics;
+        metrics.set(Slot::ReplRole, role.gauge());
+        metrics.set(Slot::ReplEpoch, journal.store().epoch());
+        metrics.set(Slot::ReplLastAppliedSeq, head);
+        metrics.set(Slot::ReplLag, lag);
+        metrics.set(Slot::ReplFollowers, followers);
         // Heartbeat age: 0 on the primary (it is its own leader), time
         // since the last leader frame on a follower.
         let age_us = if role == Role::Primary {
@@ -573,7 +578,7 @@ impl Router {
             repl.leader_contact_age()
                 .map_or(0, |age| u64::try_from(age.as_micros()).unwrap_or(u64::MAX))
         };
-        self.state.metrics.set_repl_heartbeat_age(age_us);
+        metrics.set(Slot::ReplHeartbeatAgeUs, age_us);
     }
 
     /// The epoch-fenced promotion sequence shared by `POST
@@ -813,7 +818,7 @@ impl Router {
                 self.state.registry.insert(session)?;
             }
         }
-        self.state.metrics.session_started();
+        self.state.metrics.add(Slot::SessionsStarted, 1);
         Ok(ok_json(201, body))
     }
 
@@ -868,7 +873,7 @@ impl Router {
                 self.state.adaptive.insert(sitting)?;
             }
         }
-        self.state.metrics.adaptive_session_started();
+        self.state.metrics.add(Slot::AdaptiveStarted, 1);
         Ok(ok_json(201, started_body))
     }
 
@@ -927,7 +932,7 @@ impl Router {
         })??;
         self.state
             .metrics
-            .record_adaptive_step(step_started.elapsed());
+            .observe(Hist::AdaptiveStep, step_started.elapsed());
         Ok(ok_json(200, status))
     }
 
@@ -955,10 +960,10 @@ impl Router {
             stream.apply(&record);
             self.state
                 .metrics
-                .record_streaming_update(update_started.elapsed());
+                .observe(Hist::StreamingUpdate, update_started.elapsed());
         });
         self.state.adaptive.remove(id);
-        self.state.metrics.adaptive_session_closed();
+        self.state.metrics.add(Slot::AdaptiveFinished, 1);
         Ok(ok_json(200, record.to_value()))
     }
 
@@ -1079,10 +1084,10 @@ impl Router {
             stream.apply(&record);
             self.state
                 .metrics
-                .record_streaming_update(update_started.elapsed());
+                .observe(Hist::StreamingUpdate, update_started.elapsed());
         });
         let _ = self.state.registry.remove(id);
-        self.state.metrics.session_finished();
+        self.state.metrics.add(Slot::SessionsFinished, 1);
         Ok(ok_json(200, record.to_value()))
     }
 
@@ -1114,7 +1119,7 @@ impl Router {
             if let Ok(report) = self.state.stream.report(exam_id, &problems) {
                 self.state
                     .metrics
-                    .record_streaming_analysis(started.elapsed());
+                    .observe(Hist::AnalysisStreaming, started.elapsed());
                 return respond_with_report(&report, wants_alt);
             }
             // Unstreamable (mixed problem sets, duplicate in-row
@@ -1136,9 +1141,12 @@ impl Router {
             .analyze_records(std::slice::from_ref(&class), &problems)
             .map_err(|err| ApiError::new(500, format!("analysis failed: {err}")))?;
         let cache_hit = self.state.analyzer.cache_stats().hits > hits_before;
-        self.state
-            .metrics
-            .record_analysis(cache_hit, started.elapsed());
+        let hist = if cache_hit {
+            Hist::AnalysisHit
+        } else {
+            Hist::AnalysisCold
+        };
+        self.state.metrics.observe(hist, started.elapsed());
         respond_with_report(&report, wants_alt)
     }
 }
@@ -1665,10 +1673,10 @@ mod tests {
         // outcome for batch), the finish-time updates were counted, and
         // the scrape refreshes the pool gauges.
         let snapshot = router.state().metrics.snapshot(0, 0);
-        assert_eq!(snapshot.analysis_streaming_count, 2);
-        assert_eq!(snapshot.analysis_cold_count, 1);
-        assert_eq!(snapshot.analysis_hit_count, 1);
-        assert_eq!(snapshot.streaming_updates_total, 8);
+        assert_eq!(snapshot.get("analysis_duration_us.streaming.count"), 2);
+        assert_eq!(snapshot.get("analysis_duration_us.cold.count"), 1);
+        assert_eq!(snapshot.get("analysis_duration_us.hit.count"), 1);
+        assert_eq!(snapshot.get("streaming_updates_total"), 8);
         let scrape = router.handle(&Request::new("GET", "/metrics", ""));
         assert!(scrape
             .body
@@ -1815,8 +1823,8 @@ mod tests {
         assert_eq!(shed.retry_after, Some(5));
         assert!(shed.body.contains("draining"));
         let snapshot = router.state().metrics.snapshot(0, 0);
-        assert_eq!(snapshot.shed_total, 1);
-        assert_eq!(snapshot.retry_after_secs, 5);
+        assert_eq!(snapshot.get("shed_total"), 1);
+        assert_eq!(snapshot.get("retry_after_secs"), 5);
         // The session itself was left untouched mid-flight.
         assert_eq!(router.state().registry.len(), 1);
     }
@@ -1883,7 +1891,7 @@ mod tests {
         let health: Value = serde_json::from_str(&health.body).unwrap();
         assert_eq!(health.get("role").unwrap().as_str(), Some("follower"));
         let snapshot = router.state().metrics.snapshot(0, 0);
-        assert_eq!(snapshot.redirected_total, 3);
+        assert_eq!(snapshot.get("redirected_total"), 3);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crossbeam::channel;
 
 use crate::drain::{pause_and_snapshot, DrainReport, DrainState};
 use crate::http::{parse_request_with, ParseLimits, Response};
+use crate::metrics::Slot;
 use crate::overload::{self, OverloadOptions, PeerLimiter};
 use crate::router::Router;
 
@@ -118,7 +119,7 @@ impl Server {
                     while !shutdown.load(Ordering::Acquire) {
                         match receiver.recv_timeout(Duration::from_millis(50)) {
                             Ok(stream) => {
-                                router.state().metrics.queue_exit();
+                                router.state().metrics.sub(Slot::QueueDepth, 1);
                                 serve_connection(&router, stream, &conn_options);
                             }
                             Err(_) => continue,
@@ -152,22 +153,22 @@ impl Server {
                         if let Ok(peer) = stream.peer_addr() {
                             if let Err(wait) = limiter.admit(peer.ip(), now) {
                                 let secs = overload::retry_after_secs(wait);
-                                metrics.rate_limited(secs);
+                                metrics.shed(Slot::RateLimitedTotal, secs);
                                 shed_connection(stream, "rate limited", secs, write_timeout);
                                 continue;
                             }
                         }
                     }
-                    if metrics.queue_depth() >= queue_cap {
-                        metrics.shed(shed_secs);
+                    if metrics.get(Slot::QueueDepth) >= queue_cap {
+                        metrics.shed(Slot::ShedTotal, shed_secs);
                         shed_connection(stream, "over capacity", shed_secs, write_timeout);
                         continue;
                     }
-                    metrics.queue_enter();
+                    metrics.add(Slot::QueueDepth, 1);
                     // A send only fails when every worker has gone,
                     // which only happens at shutdown.
                     if sender.send(stream).is_err() {
-                        metrics.queue_exit();
+                        metrics.sub(Slot::QueueDepth, 1);
                         break;
                     }
                 }
@@ -210,7 +211,7 @@ impl Server {
         state.lifecycle.begin_drain();
         state
             .metrics
-            .set_drain_state(DrainState::Draining.as_gauge());
+            .set(Slot::DrainState, DrainState::Draining.as_gauge());
     }
 
     /// Drains and stops the server: begins drain, waits up to
@@ -227,7 +228,9 @@ impl Server {
         let state = self.router.state();
         let started = Instant::now();
         let drained_cleanly = loop {
-            if state.metrics.inflight() == 0 && state.metrics.queue_depth() == 0 {
+            if state.metrics.get(Slot::InflightRequests) == 0
+                && state.metrics.get(Slot::QueueDepth) == 0
+            {
                 break true;
             }
             if started.elapsed() >= deadline {
@@ -240,7 +243,7 @@ impl Server {
         state.lifecycle.mark_stopped();
         state
             .metrics
-            .set_drain_state(DrainState::Stopped.as_gauge());
+            .set(Slot::DrainState, DrainState::Stopped.as_gauge());
         self.shutdown();
         report
     }
@@ -362,10 +365,10 @@ fn serve_connection(router: &Router, stream: TcpStream, options: &ConnOptions) {
                 // the worker frees up; the in-flight request itself
                 // always completes.
                 let keep_alive = !request.wants_close() && !state.lifecycle.is_draining();
-                state.metrics.inflight_enter();
+                state.metrics.add(Slot::InflightRequests, 1);
                 let response = router.handle(&request);
                 let written = response.write_to(&mut writer, keep_alive);
-                state.metrics.inflight_exit();
+                state.metrics.sub(Slot::InflightRequests, 1);
                 if written.is_err() || !keep_alive {
                     return;
                 }

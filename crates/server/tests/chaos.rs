@@ -118,7 +118,7 @@ fn overload_sheds_at_the_edge_with_retry_after() {
     // will ever take it while the stalls hold.
     let queued = TcpStream::connect(&addr).expect("filler");
     assert!(
-        wait_until(Duration::from_secs(5), || metrics().queue_depth == 1),
+        wait_until(Duration::from_secs(5), || metrics().get("queue_depth") == 1),
         "filler connection never queued"
     );
 
@@ -135,8 +135,12 @@ fn overload_sheds_at_the_edge_with_retry_after() {
         assert!(reply.contains("connection: close"), "{reply:?}");
     }
     let snapshot = metrics();
-    assert!(snapshot.shed_total >= 3, "{}", snapshot.shed_total);
-    assert_eq!(snapshot.retry_after_secs, 2);
+    assert!(
+        snapshot.get("shed_total") >= 3,
+        "{}",
+        snapshot.get("shed_total")
+    );
+    assert_eq!(snapshot.get("retry_after_secs"), 2);
 
     // Releasing the stalled clients frees the workers; service resumes
     // without a restart.
@@ -205,7 +209,7 @@ fn rate_limit_sheds_bursty_peer_with_wait_hint() {
                 .state()
                 .metrics
                 .snapshot(0, 0)
-                .rate_limited_total
+                .get("rate_limited_total")
                 > 0
                 || {
                     let mut third = TcpStream::connect(&addr).expect("third");
@@ -221,7 +225,7 @@ fn rate_limit_sheds_bursty_peer_with_wait_hint() {
     drop(first);
     drop(second);
     let snapshot = server.router().state().metrics.snapshot(0, 0);
-    assert!(snapshot.rate_limited_total >= 1);
+    assert!(snapshot.get("rate_limited_total") >= 1);
 
     // Honoring the advertised wait admits the peer again.
     std::thread::sleep(Duration::from_millis(1100));
@@ -457,14 +461,26 @@ fn drain_deadline_expiry_still_pauses_and_snapshots() {
     let _stall = TcpStream::connect(&addr).expect("stall");
     assert!(
         wait_until(Duration::from_secs(5), || {
-            server.router().state().metrics.snapshot(0, 0).queue_depth == 0
+            server
+                .router()
+                .state()
+                .metrics
+                .snapshot(0, 0)
+                .get("queue_depth")
+                == 0
         }),
         "worker never picked up the stall"
     );
     let _queued = TcpStream::connect(&addr).expect("queued");
     assert!(
         wait_until(Duration::from_secs(5), || {
-            server.router().state().metrics.snapshot(0, 0).queue_depth == 1
+            server
+                .router()
+                .state()
+                .metrics
+                .snapshot(0, 0)
+                .get("queue_depth")
+                == 1
         }),
         "second connection never queued"
     );
