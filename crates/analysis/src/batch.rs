@@ -4,18 +4,12 @@
 //! mid-term across class sections, weekly quizzes, pre/post pairs for
 //! the §3.4-III sensitivity index. [`BatchAnalyzer`] runs
 //! [`ExamAnalysis::analyze`] over a whole batch with a work-stealing
-//! thread pool, deduplicates repeated work through a bounded
-//! least-recently-used cache keyed by a fingerprint of the analysis
-//! input, and aggregates the per-exam results into a [`BatchReport`] with
-//! cross-exam reliability and signal summaries.
+//! thread pool and aggregates the per-exam results into a [`BatchReport`]
+//! with cross-exam reliability and signal summaries.
 //!
 //! Output is deterministic: analyses come back in job order and each is
 //! byte-identical (under `serde_json`) to what a sequential
 //! [`ExamAnalysis::analyze`] call produces, whatever the thread count.
-
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -96,19 +90,7 @@ pub struct PrePostReport {
     pub sensitivity: InstructionalSensitivity,
 }
 
-/// Cache effectiveness counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to a fresh analysis.
-    pub misses: u64,
-    /// Entries currently held.
-    pub entries: usize,
-}
-
-/// Runs many sittings through the §4 pipeline concurrently, caching
-/// results by input fingerprint.
+/// Runs many sittings through the §4 pipeline concurrently.
 ///
 /// # Examples
 ///
@@ -136,21 +118,13 @@ pub struct BatchAnalyzer {
     config: AnalysisConfig,
     /// Worker threads for the batch loop; `0` = auto-detect.
     threads: usize,
-    cache: Cache,
 }
 
 impl BatchAnalyzer {
-    /// Default cache capacity (analyses, not bytes).
-    pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-    /// A batch analyzer with auto thread count and the default cache.
+    /// A batch analyzer with auto thread count.
     #[must_use]
     pub fn new(config: AnalysisConfig) -> Self {
-        Self {
-            config,
-            threads: 0,
-            cache: Cache::new(Self::DEFAULT_CACHE_CAPACITY),
-        }
+        Self { config, threads: 0 }
     }
 
     /// Sets the worker thread count; `0` means auto-detect.
@@ -160,20 +134,13 @@ impl BatchAnalyzer {
         self
     }
 
-    /// Bounds the cache to `capacity` analyses; `0` disables caching.
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Cache::new(capacity);
-        self
-    }
-
     /// The analysis configuration every job runs under.
     #[must_use]
     pub fn config(&self) -> &AnalysisConfig {
         &self.config
     }
 
-    /// Analyzes one sitting, consulting the cache first.
+    /// Analyzes one sitting under this analyzer's configuration.
     ///
     /// # Errors
     ///
@@ -183,17 +150,7 @@ impl BatchAnalyzer {
         record: &ExamRecord,
         problems: &[Problem],
     ) -> Result<ExamAnalysis, AnalysisError> {
-        if self.cache.capacity == 0 {
-            // No cache — skip the fingerprinting entirely.
-            return ExamAnalysis::analyze(record, problems, &self.config);
-        }
-        let key = CacheKey::compute(record, problems, &self.config);
-        if let Some(hit) = self.cache.get(key) {
-            return Ok((*hit).clone());
-        }
-        let analysis = ExamAnalysis::analyze(record, problems, &self.config)?;
-        self.cache.put(key, Arc::new(analysis.clone()));
-        Ok(analysis)
+        ExamAnalysis::analyze(record, problems, &self.config)
     }
 
     /// Analyzes every job concurrently and aggregates the results.
@@ -262,29 +219,17 @@ impl BatchAnalyzer {
         problems: &[Problem],
     ) -> Result<PrePostReport, AnalysisError> {
         let sensitivity = instructional_sensitivity(pre, post)?;
-        let report = self.analyze_records(std::slice::from_ref(pre), problems)?;
-        let pre_analysis = report
+        let jobs = [pre, post].map(|record| BatchJob { record, problems });
+        let [pre, post]: [ExamAnalysis; 2] = self
+            .analyze_batch(&jobs)?
             .analyses
-            .into_iter()
-            .next()
-            .expect("one job yields one analysis");
-        let report = self.analyze_records(std::slice::from_ref(post), problems)?;
-        let post_analysis = report
-            .analyses
-            .into_iter()
-            .next()
-            .expect("one job yields one analysis");
+            .try_into()
+            .expect("two jobs yield two analyses");
         Ok(PrePostReport {
-            pre: pre_analysis,
-            post: post_analysis,
+            pre,
+            post,
             sensitivity,
         })
-    }
-
-    /// Current cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 }
 
@@ -322,232 +267,6 @@ fn summarize(analyses: &[ExamAnalysis]) -> BatchSummary {
         summary.max_alpha = alphas.iter().copied().reduce(f64::max);
     }
     summary
-}
-
-/// The cache key: a 256-bit fingerprint of everything
-/// [`ExamAnalysis::analyze`] reads. The record — by far the largest
-/// input — is fingerprinted by walking its fields directly (two
-/// independent 64-bit FNV-1a streams), which costs a fraction of the
-/// analysis it memoizes; the smaller problem set and config are
-/// fingerprinted through their canonical JSON. A false hit needs a
-/// 128-bit record collision inside one bounded cache — negligible
-/// against the simulation/measurement noise any analysis sits in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey([u64; 4]);
-
-impl CacheKey {
-    fn compute(record: &ExamRecord, problems: &[Problem], config: &AnalysisConfig) -> Self {
-        let (a, b) = fingerprint_record(record);
-        let problems = fnv1a(
-            serde_json::to_string(problems)
-                .expect("problems serialize")
-                .as_bytes(),
-        );
-        let config = fnv1a(
-            serde_json::to_string(config)
-                .expect("analysis configs serialize")
-                .as_bytes(),
-        );
-        Self([a, b, problems, config])
-    }
-}
-
-/// FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Two independent FNV-1a streams fed field by field.
-struct Fingerprint {
-    a: u64,
-    b: u64,
-}
-
-impl Fingerprint {
-    fn new() -> Self {
-        // Distinct offset bases decorrelate the two streams.
-        Self {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn byte(&mut self, byte: u8) {
-        self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        self.b = (self.b ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.byte(byte);
-        }
-    }
-
-    fn u64(&mut self, value: u64) {
-        self.bytes(&value.to_le_bytes());
-    }
-
-    fn f64(&mut self, value: f64) {
-        self.u64(value.to_bits());
-    }
-
-    /// Length-prefixed so `["ab","c"]` and `["a","bc"]` differ.
-    fn str(&mut self, value: &str) {
-        self.u64(value.len() as u64);
-        self.bytes(value.as_bytes());
-    }
-
-    fn duration(&mut self, value: std::time::Duration) {
-        self.u64(value.as_secs());
-        self.u64(u64::from(value.subsec_nanos()));
-    }
-
-    fn answer(&mut self, answer: &mine_core::Answer) {
-        use mine_core::Answer;
-        match answer {
-            Answer::Choice(key) => {
-                self.byte(0);
-                self.u64(key.index() as u64);
-            }
-            Answer::MultiChoice(keys) => {
-                self.byte(1);
-                self.u64(keys.len() as u64);
-                for key in keys {
-                    self.u64(key.index() as u64);
-                }
-            }
-            Answer::TrueFalse(value) => {
-                self.byte(2);
-                self.byte(u8::from(*value));
-            }
-            Answer::Text(text) => {
-                self.byte(3);
-                self.str(text);
-            }
-            Answer::Completion(blanks) => {
-                self.byte(4);
-                self.u64(blanks.len() as u64);
-                for blank in blanks {
-                    self.str(blank);
-                }
-            }
-            Answer::Match(matches) => {
-                self.byte(5);
-                self.u64(matches.len() as u64);
-                for &index in matches {
-                    self.u64(index as u64);
-                }
-            }
-            Answer::Skipped => self.byte(6),
-        }
-    }
-}
-
-/// Walks every field of the record the analysis can observe.
-fn fingerprint_record(record: &ExamRecord) -> (u64, u64) {
-    let mut fp = Fingerprint::new();
-    fp.str(record.exam.as_str());
-    fp.u64(record.students.len() as u64);
-    for student in &record.students {
-        fp.str(student.student.as_str());
-        fp.duration(student.total_time);
-        fp.u64(student.responses.len() as u64);
-        for response in &student.responses {
-            fp.str(response.problem.as_str());
-            fp.answer(&response.answer);
-            fp.byte(u8::from(response.is_correct));
-            fp.f64(response.points_awarded);
-            fp.f64(response.points_possible);
-            fp.duration(response.time_spent);
-            match response.answered_at {
-                Some(at) => {
-                    fp.byte(1);
-                    fp.duration(at);
-                }
-                None => fp.byte(0),
-            }
-        }
-    }
-    (fp.a, fp.b)
-}
-
-/// Bounded LRU map from cache key to finished analysis.
-#[derive(Debug)]
-struct Cache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<CacheKey, Arc<ExamAnalysis>>,
-    /// Keys from least to most recently used.
-    recency: VecDeque<CacheKey>,
-}
-
-impl Cache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(CacheInner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn get(&self, key: CacheKey) -> Option<Arc<ExamAnalysis>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(value) = inner.map.get(&key).map(Arc::clone) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        if let Some(position) = inner.recency.iter().position(|k| *k == key) {
-            let key = inner
-                .recency
-                .remove(position)
-                .expect("position came from this deque");
-            inner.recency.push_back(key);
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
-    }
-
-    fn put(&self, key: CacheKey, value: Arc<ExamAnalysis>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.map.contains_key(&key) {
-            // Another worker computed the same input first; keep theirs.
-            return;
-        }
-        while inner.map.len() >= self.capacity {
-            match inner.recency.pop_front() {
-                Some(oldest) => {
-                    inner.map.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        inner.recency.push_back(key);
-        inner.map.insert(key, value);
-    }
-
-    fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -616,74 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_input_hits_the_cache() {
-        let (records, problems) = records(1, 4, 20);
-        let analyzer = BatchAnalyzer::new(AnalysisConfig::default());
-        analyzer.analyze_one(&records[0], &problems).unwrap();
-        analyzer.analyze_one(&records[0], &problems).unwrap();
-        let stats = analyzer.cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn different_config_is_a_different_key() {
-        let (records, problems) = records(1, 4, 100);
-        let analyzer = BatchAnalyzer::new(AnalysisConfig::default());
-        analyzer.analyze_one(&records[0], &problems).unwrap();
-        let kelly = BatchAnalyzer::new(AnalysisConfig::kelly());
-        kelly.analyze_one(&records[0], &problems).unwrap();
-        // Each analyzer saw a fresh input — no cross-key hit.
-        assert_eq!(analyzer.cache_stats().hits, 0);
-        assert_eq!(kelly.cache_stats().hits, 0);
-    }
-
-    #[test]
-    fn fingerprint_is_sensitive_to_a_single_response() {
-        let (records, problems) = records(1, 4, 20);
-        let config = AnalysisConfig::default();
-        let base = CacheKey::compute(&records[0], &problems, &config);
-        assert_eq!(base, CacheKey::compute(&records[0], &problems, &config));
-
-        let mut flipped = records[0].clone();
-        let response = &mut flipped.students[0].responses[0];
-        response.is_correct = !response.is_correct;
-        assert_ne!(base, CacheKey::compute(&flipped, &problems, &config));
-
-        let mut timed = records[0].clone();
-        timed.students[0].responses[0].time_spent += std::time::Duration::from_nanos(1);
-        assert_ne!(base, CacheKey::compute(&timed, &problems, &config));
-    }
-
-    #[test]
-    fn cache_capacity_is_enforced_lru() {
-        let (records, problems) = records(3, 4, 20);
-        let analyzer = BatchAnalyzer::new(AnalysisConfig::default()).with_cache_capacity(2);
-        for record in &records {
-            analyzer.analyze_one(record, &problems).unwrap();
-        }
-        assert_eq!(analyzer.cache_stats().entries, 2);
-        // Oldest (records[0]) was evicted; re-analyzing it misses.
-        analyzer.analyze_one(&records[0], &problems).unwrap();
-        assert_eq!(analyzer.cache_stats().hits, 0);
-        // records[2] is still resident.
-        analyzer.analyze_one(&records[2], &problems).unwrap();
-        assert_eq!(analyzer.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let (records, problems) = records(1, 4, 20);
-        let analyzer = BatchAnalyzer::new(AnalysisConfig::default()).with_cache_capacity(0);
-        analyzer.analyze_one(&records[0], &problems).unwrap();
-        analyzer.analyze_one(&records[0], &problems).unwrap();
-        let stats = analyzer.cache_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.entries, 0);
-    }
-
-    #[test]
     fn summary_aggregates_all_exams() {
         let (records, problems) = records(3, 6, 24);
         let report = BatchAnalyzer::new(AnalysisConfig::default())
@@ -713,7 +364,8 @@ mod tests {
             .cohort(CohortSpec::new(30).ability(0.8, 0.8).seed(11))
             .run()
             .unwrap();
-        let report = BatchAnalyzer::new(AnalysisConfig::default())
+        let config = AnalysisConfig::default();
+        let report = BatchAnalyzer::new(config)
             .analyze_pre_post(&pre, &post, &problems)
             .unwrap();
         assert_eq!(report.sensitivity.per_question.len(), 5);
@@ -721,7 +373,11 @@ mod tests {
         assert_eq!(report.sensitivity, expected);
         assert_eq!(
             report.pre,
-            ExamAnalysis::analyze(&pre, &problems, &AnalysisConfig::default()).unwrap()
+            ExamAnalysis::analyze(&pre, &problems, &config).unwrap()
+        );
+        assert_eq!(
+            report.post,
+            ExamAnalysis::analyze(&post, &problems, &config).unwrap()
         );
     }
 

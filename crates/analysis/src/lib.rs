@@ -70,7 +70,7 @@ pub mod status;
 pub mod two_way;
 
 pub use baseline::point_biserial;
-pub use batch::{BatchAnalyzer, BatchJob, BatchReport, BatchSummary, CacheStats, PrePostReport};
+pub use batch::{BatchAnalyzer, BatchJob, BatchReport, BatchSummary, PrePostReport};
 pub use config::AnalysisConfig;
 pub use distraction::{analyze_distractors, DistractorReport, DistractorRole};
 pub use error::AnalysisError;

@@ -24,9 +24,7 @@ fn pooled_4t_beats_the_naive_baseline() {
         .map(|i| standard_record(QUESTIONS, CLASS, 1000 + i as u64))
         .collect();
     let config = AnalysisConfig::default();
-    let analyzer = BatchAnalyzer::new(config)
-        .with_threads(4)
-        .with_cache_capacity(0);
+    let analyzer = BatchAnalyzer::new(config).with_threads(4);
 
     // Best of three per arm: the minimum is the least noisy estimator
     // of the true cost on a machine that might be doing other things.

@@ -46,7 +46,7 @@ fn streaming_read_beats_cold_batch_at_1000_sittings() {
     );
 
     // Best of three per arm, minimum as the least noisy estimator.
-    let batch = BatchAnalyzer::new(config).with_cache_capacity(0);
+    let batch = BatchAnalyzer::new(config);
     let mut streaming_ns = u128::MAX;
     let mut cold_ns = u128::MAX;
     for _ in 0..3 {

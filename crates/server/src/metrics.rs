@@ -155,13 +155,12 @@ pub(crate) enum Slot {
 
 const SLOTS: usize = Slot::Requests as usize + Route::ALL.len();
 
-/// A latency histogram in [`Metrics`]; the three analysis histograms
+/// A latency histogram in [`Metrics`]; the two analysis histograms
 /// are consecutive, like the series of their family.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Hist {
     Latency,
     AnalysisCold,
-    AnalysisHit,
     AnalysisStreaming,
     StreamingUpdate,
     AdaptiveStep,
@@ -443,10 +442,9 @@ const TABLE: &[Family] = &[
         .help("Request latency."),
     histogram(Hist::AnalysisCold, "mine_analysis_duration_seconds")
         .json("analysis_duration_us")
-        .help("Analysis wall time by mode (batch runs carry the cache outcome).")
+        .help("Analysis wall time by mode (batch runs are never cached).")
         .labels(Labels::Sets(&[
             ("mode=\"batch\",cache=\"cold\"", "cold"),
-            ("mode=\"batch\",cache=\"hit\"", "hit"),
             ("mode=\"streaming\"", "streaming"),
         ])),
     histogram(Hist::StreamingUpdate, "mine_streaming_update_seconds")
@@ -849,21 +847,19 @@ mod tests {
     }
 
     #[test]
-    fn analysis_histogram_is_labeled_by_mode_and_cache_outcome() {
+    fn analysis_histogram_is_labeled_by_mode() {
         let metrics = Metrics::new();
         metrics.observe(Hist::AnalysisCold, Duration::from_millis(20));
         metrics.observe(Hist::AnalysisCold, Duration::from_millis(90));
-        metrics.observe(Hist::AnalysisHit, Duration::from_micros(40));
         metrics.observe(Hist::AnalysisStreaming, Duration::from_micros(60));
         metrics.set(Slot::PoolWorkers, 4);
         metrics.set(Slot::PoolSteals, 17);
 
         let snapshot = metrics.snapshot(0, 0);
         assert_eq!(snapshot.get("analysis_duration_us.cold.count"), 2);
-        assert_eq!(snapshot.get("analysis_duration_us.hit.count"), 1);
         assert_eq!(snapshot.get("analysis_duration_us.streaming.count"), 1);
-        // 40 µs lands in the first hit bucket; cold times stay separate.
-        assert_eq!(snapshot.get("analysis_duration_us.hit.buckets.0.count"), 1);
+        // 60 µs lands in the first streaming bucket; cold times stay
+        // separate.
         assert_eq!(snapshot.get("analysis_duration_us.cold.buckets.0.count"), 0);
         assert_eq!(
             snapshot.get("analysis_duration_us.streaming.buckets.0.count"),
@@ -877,16 +873,10 @@ mod tests {
         assert!(
             text.contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 2")
         );
-        assert!(
-            text.contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"hit\"} 1")
-        );
         assert!(text.contains("mine_analysis_duration_seconds_count{mode=\"streaming\"} 1"));
         // Cumulative buckets per label: both cold observations are ≤ 0.1 s.
         assert!(text.contains(
             "mine_analysis_duration_seconds_bucket{mode=\"batch\",cache=\"cold\",le=\"0.1\"} 2"
-        ));
-        assert!(text.contains(
-            "mine_analysis_duration_seconds_bucket{mode=\"batch\",cache=\"hit\",le=\"0.0001\"} 1"
         ));
         assert!(text
             .contains("mine_analysis_duration_seconds_bucket{mode=\"streaming\",le=\"0.0001\"} 1"));
@@ -899,7 +889,7 @@ mod tests {
         let value: Value = serde_json::from_str(&json).unwrap();
         let analysis = value.get("analysis_duration_us").unwrap();
         assert!(analysis.get("cold").is_some());
-        assert!(analysis.get("hit").is_some());
+        assert!(analysis.get("hit").is_none());
         assert!(analysis.get("streaming").is_some());
         assert_eq!(value.get("pool_workers").unwrap().kind(), "number");
         assert_eq!(value.get("pool_steals_total").unwrap().kind(), "number");
@@ -1003,7 +993,6 @@ mod tests {
             }
         };
         observe(50, 0, &|d| metrics.observe(Hist::AnalysisCold, d));
-        observe(51, 1, &|d| metrics.observe(Hist::AnalysisHit, d));
         observe(52, 2, &|d| metrics.observe(Hist::AnalysisStreaming, d));
         observe(53, 3, &|d| metrics.observe(Hist::StreamingUpdate, d));
         observe(54, 4, &|d| metrics.observe(Hist::AdaptiveStep, d));

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Number, Serialize, Value};
 
 use mine_adaptive::AdaptiveOptions;
-use mine_analysis::{AnalysisConfig, BatchAnalyzer};
+use mine_analysis::{AnalysisConfig, AnalysisError, BatchAnalyzer};
 use mine_core::{Answer, ExamRecord};
 use mine_delivery::{DeliveryError, DeliveryOptions, ExamSession, SessionState};
 use mine_itembank::{Problem, ProblemBody, Repository};
@@ -105,9 +105,8 @@ pub struct ServerState {
     pub adaptive: AdaptiveRegistry,
     /// Finished records, grouped per exam for live analysis.
     pub finished: FinishedStore,
-    /// The §4 pipeline with its fingerprint-keyed cache (the
-    /// `?mode=batch` escape hatch and the fallback for unstreamable
-    /// inputs).
+    /// The batch §4 pipeline (the `?mode=batch` escape hatch and the
+    /// fallback for unstreamable inputs).
     pub analyzer: BatchAnalyzer,
     /// Running sufficient statistics per exam: finish-time updates in
     /// O(1 + re-assignments), analysis reads assembled from counters.
@@ -1133,20 +1132,22 @@ impl Router {
             )));
         }
         let class = ExamRecord::new(parsed, records);
-        let hits_before = self.state.analyzer.cache_stats().hits;
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let report = self
             .state
             .analyzer
             .analyze_records(std::slice::from_ref(&class), &problems)
-            .map_err(|err| ApiError::new(500, format!("analysis failed: {err}")))?;
-        let cache_hit = self.state.analyzer.cache_stats().hits > hits_before;
-        let hist = if cache_hit {
-            Hist::AnalysisHit
-        } else {
-            Hist::AnalysisCold
-        };
-        self.state.metrics.observe(hist, started.elapsed());
+            .map_err(|err| match err {
+                // Too few sittings for the score groups: not ready yet,
+                // like a class with none.
+                AnalysisError::ClassTooSmall { .. } => {
+                    ApiError::conflict(format!("analysis not ready: {err}"))
+                }
+                _ => ApiError::new(500, format!("analysis failed: {err}")),
+            })?;
+        self.state
+            .metrics
+            .observe(Hist::AnalysisCold, started.elapsed());
         respond_with_report(&report, wants_alt)
     }
 }
@@ -1655,27 +1656,25 @@ mod tests {
 
         // The default mode streams from counters — the batch pipeline
         // was never invoked.
-        assert_eq!(router.state().analyzer.cache_stats().hits, 0);
         let again = router.handle(&Request::new("GET", "/exams/quiz/analysis", ""));
         assert_eq!(again.body, analysis.body);
 
         // `?mode=batch` forces the full pipeline and produces the very
-        // same bytes; a second batch read hits the analyzer's cache.
+        // same bytes, every time.
         let batch = router.handle(&Request::new("GET", "/exams/quiz/analysis?mode=batch", ""));
         assert_eq!(batch.status, 200, "{}", batch.body);
         assert_eq!(batch.body, analysis.body);
         let batch_again =
             router.handle(&Request::new("GET", "/exams/quiz/analysis?mode=batch", ""));
         assert_eq!(batch_again.body, analysis.body);
-        assert!(router.state().analyzer.cache_stats().hits >= 1);
 
-        // All four analyses were timed, labeled by mode (and cache
-        // outcome for batch), the finish-time updates were counted, and
-        // the scrape refreshes the pool gauges.
+        // All four analyses were timed and labeled by mode: the two
+        // default reads streamed and only the two forced reads ran
+        // batch. The finish-time updates were counted, and the scrape
+        // refreshes the pool gauges.
         let snapshot = router.state().metrics.snapshot(0, 0);
         assert_eq!(snapshot.get("analysis_duration_us.streaming.count"), 2);
-        assert_eq!(snapshot.get("analysis_duration_us.cold.count"), 1);
-        assert_eq!(snapshot.get("analysis_duration_us.hit.count"), 1);
+        assert_eq!(snapshot.get("analysis_duration_us.cold.count"), 2);
         assert_eq!(snapshot.get("streaming_updates_total"), 8);
         let scrape = router.handle(&Request::new("GET", "/metrics", ""));
         assert!(scrape
@@ -1683,10 +1682,7 @@ mod tests {
             .contains("mine_analysis_duration_seconds_count{mode=\"streaming\"} 2"));
         assert!(scrape
             .body
-            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 1"));
-        assert!(scrape
-            .body
-            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"hit\"} 1"));
+            .contains("mine_analysis_duration_seconds_count{mode=\"batch\",cache=\"cold\"} 2"));
         assert!(scrape.body.contains("mine_streaming_updates_total 8"));
         assert!(scrape
             .body
@@ -1779,6 +1775,50 @@ mod tests {
         let router = Router::new(repository());
         let response = router.handle(&Request::new("GET", "/exams/quiz/analysis", ""));
         assert_eq!(response.status, 409);
+    }
+
+    #[test]
+    fn analysis_of_a_class_of_one_conflicts_until_a_second_sitting() {
+        let router = Router::new(repository());
+        sit_student(&router, 1);
+        // One sitting cannot form distinct high/low score groups: the
+        // report is not ready yet, in every mode, and no read is a 5xx.
+        for path in [
+            "/exams/quiz/analysis",
+            "/exams/quiz/analysis?mode=batch",
+            "/exams/quiz/analysis?indices=alt",
+        ] {
+            let response = router.handle(&Request::new("GET", path, ""));
+            assert_eq!(response.status, 409, "{path}: {}", response.body);
+        }
+        assert_eq!(router.state().metrics.snapshot(0, 0).get("status_5xx"), 0);
+
+        sit_student(&router, 2);
+        let response = router.handle(&Request::new("GET", "/exams/quiz/analysis", ""));
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+
+    #[test]
+    fn alt_indices_match_the_full_report_in_both_modes() {
+        let router = Router::new(repository());
+        for index in 1..=8 {
+            sit_student(&router, index);
+        }
+        let full = router.handle(&Request::new("GET", "/exams/quiz/analysis", ""));
+        assert_eq!(full.status, 200, "{}", full.body);
+        let alt = router.handle(&Request::new("GET", "/exams/quiz/analysis?indices=alt", ""));
+        assert_eq!(alt.status, 200, "{}", alt.body);
+        let batch_alt = router.handle(&Request::new(
+            "GET",
+            "/exams/quiz/analysis?mode=batch&indices=alt",
+            "",
+        ));
+        assert_eq!(batch_alt.status, 200, "{}", batch_alt.body);
+        assert_eq!(alt.body, batch_alt.body);
+
+        let report: mine_analysis::BatchReport = serde_json::from_str(&full.body).unwrap();
+        let expected = serde_json::to_string(&mine_streamstats::alt_indices(&report.analyses[0]));
+        assert_eq!(alt.body, expected.unwrap());
     }
 
     #[test]

@@ -198,7 +198,7 @@ proptest! {
             let actual = results[index].as_ref().expect("record produced");
             prop_assert_eq!(actual, expected_record, "student {} diverged", index);
             // Byte-identical, not merely equal: the serialized forms
-            // (what the wire and the analysis cache see) must match.
+            // (what the wire and the analysis see) must match.
             prop_assert_eq!(
                 serde_json::to_string(&actual.to_value()).unwrap(),
                 serde_json::to_string(&expected_record.to_value()).unwrap()

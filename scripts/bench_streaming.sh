@@ -7,7 +7,7 @@
 # header recording the machine the numbers came from; the rest is one
 # JSON line per measurement, appended by the bench via CRITERION_JSON:
 # per-finish update p50/p99/max at each class size, then the analysis
-# read minima (streaming, streaming+serialize, batch cold, batch warm).
+# read minima (streaming, streaming+serialize, batch cold).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

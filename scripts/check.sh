@@ -13,10 +13,10 @@ echo "==> cargo clippy mine-store -D warnings"
 cargo clippy --offline -p mine-store --all-targets -- -D warnings
 
 echo "==> cargo test"
-cargo test --workspace --offline -q
+cargo test --workspace --offline --locked -q
 
 echo "==> benchmark driver tests (perfbench/ is its own workspace; catches mine-server API drift)"
-cargo test --offline -q --manifest-path perfbench/Cargo.toml
+cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo "==> server integration tests"
 cargo test --offline -q -p mine-server --test loopback --test registry_concurrency

@@ -427,11 +427,6 @@ fn batch_analyze(args: &[String]) -> CliResult {
             "reliability alpha:  min {min:.2}  mean {mean:.2}  max {max:.2}\n"
         ));
     }
-    let stats = analyzer.cache_stats();
-    out.push_str(&format!(
-        "cache: {} hits, {} misses, {} resident\n",
-        stats.hits, stats.misses, stats.entries
-    ));
     print_block(&out);
     Ok(())
 }

@@ -146,7 +146,7 @@ fn concurrent_edits_to_one_problem_serialize_cleanly() {
 }
 
 #[test]
-fn batch_cache_survives_hammering_from_many_threads() {
+fn shared_batch_analyzer_survives_hammering_from_many_threads() {
     use mine_assessment::analysis::{AnalysisConfig, BatchAnalyzer, ExamAnalysis};
     use mine_assessment::simulator::{CohortSpec, Simulation};
     use std::sync::Arc;
@@ -167,8 +167,8 @@ fn batch_cache_survives_hammering_from_many_threads() {
         builder = builder.entry(format!("q{i}").parse().unwrap());
     }
     let exam = builder.build().unwrap();
-    // 6 distinct sittings contending for a cache that only holds 4, so
-    // threads race on hits, misses, inserts, and evictions at once.
+    // 6 distinct sittings analyzed through one shared analyzer, with
+    // every thread cycling through all of them.
     let records: Vec<_> = (0..6)
         .map(|seed| {
             Simulation::new(exam.clone(), problems.clone())
@@ -182,7 +182,7 @@ fn batch_cache_survives_hammering_from_many_threads() {
         .map(|r| ExamAnalysis::analyze(r, &problems, &AnalysisConfig::default()).unwrap())
         .collect();
 
-    let analyzer = Arc::new(BatchAnalyzer::new(AnalysisConfig::default()).with_cache_capacity(4));
+    let analyzer = Arc::new(BatchAnalyzer::new(AnalysisConfig::default()));
     let problems = Arc::new(problems);
     let records = Arc::new(records);
     let expected = Arc::new(expected);
@@ -204,9 +204,4 @@ fn batch_cache_survives_hammering_from_many_threads() {
     for handle in handles {
         handle.join().unwrap();
     }
-    let stats = analyzer.cache_stats();
-    // Every lookup was counted, and the bound held under contention.
-    assert_eq!(stats.hits + stats.misses, 8 * 15);
-    assert!(stats.entries <= 4, "capacity exceeded: {}", stats.entries);
-    assert!(stats.hits > 0, "repeated inputs should hit");
 }
