@@ -32,7 +32,10 @@ macro_rules! string_id {
         #[derive(
             Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
         )]
-        #[serde(try_from = "String", into = "String")]
+        // Serialized as the inner string (a newtype needs no `into`
+        // conversion, so writing one clones nothing); parsed through
+        // `try_from` so every decoded identifier is validated.
+        #[serde(try_from = "String")]
         pub struct $name(String);
 
         impl $name {

@@ -509,7 +509,7 @@ impl Router {
         };
         Ok(ok_json(
             status,
-            Value::Object(vec![
+            &Value::Object(vec![
                 (
                     "status".to_string(),
                     Value::String(state.label().to_string()),
@@ -539,7 +539,7 @@ impl Router {
             .as_deref()
             .is_some_and(|query| query.split('&').any(|pair| pair == "format=json"));
         if wants_json {
-            return Ok(ok_json(200, snapshot.to_value()));
+            return Ok(ok_json(200, &snapshot));
         }
         Ok(Response::prometheus(200, snapshot.to_prometheus()))
     }
@@ -640,7 +640,7 @@ impl Router {
         let journal = self.state.journal.as_ref().expect("checked above");
         Ok(ok_json(
             200,
-            Value::Object(vec![
+            &Value::Object(vec![
                 ("role".to_string(), Value::String("primary".to_string())),
                 ("epoch".to_string(), epoch.to_value()),
                 (
@@ -696,7 +696,7 @@ impl Router {
         repl.note_leader_contact();
         Ok(ok_json(
             200,
-            Value::Object(vec![
+            &Value::Object(vec![
                 ("role".to_string(), Value::String("follower".to_string())),
                 ("epoch".to_string(), epoch.to_value()),
             ]),
@@ -728,7 +728,7 @@ impl Router {
             .repl
             .as_ref()
             .map_or(Role::Primary, |repl| repl.role());
-        Ok(ok_json(200, ranges_body(&report, store, role)))
+        Ok(ok_json(200, &ranges_body(&report, store, role)))
     }
 
     /// The 421 answer a follower gives every write: the client should
@@ -742,7 +742,7 @@ impl Router {
             .unwrap_or_default();
         Ok(ok_json(
             421,
-            Value::Object(vec![
+            &Value::Object(vec![
                 (
                     "error".to_string(),
                     Value::String(
@@ -818,7 +818,7 @@ impl Router {
             }
         }
         self.state.metrics.add(Slot::SessionsStarted, 1);
-        Ok(ok_json(201, body))
+        Ok(ok_json(201, &body))
     }
 
     /// `POST /sessions` with `"mode": "adaptive"`: starts a CAT sitting
@@ -873,19 +873,19 @@ impl Router {
             }
         }
         self.state.metrics.add(Slot::AdaptiveStarted, 1);
-        Ok(ok_json(201, started_body))
+        Ok(ok_json(201, &started_body))
     }
 
     fn session_status(&self, id: &str) -> ApiResult {
         if self.state.adaptive.routes(id) {
             let status = self.state.adaptive.with(id, adaptive_status_body)?;
-            return Ok(ok_json(200, status));
+            return Ok(ok_json(200, &status));
         }
         let status = self
             .state
             .registry
             .with(id, |slot| session_status_body(&slot.session))?;
-        Ok(ok_json(200, status))
+        Ok(ok_json(200, &status))
     }
 
     /// `POST /sessions/{id}/answers` on an adaptive sitting: journal
@@ -932,7 +932,7 @@ impl Router {
         self.state
             .metrics
             .observe(Hist::AdaptiveStep, step_started.elapsed());
-        Ok(ok_json(200, status))
+        Ok(ok_json(200, &status))
     }
 
     /// `POST /sessions/{id}/finish` on an adaptive sitting: grades the
@@ -963,7 +963,7 @@ impl Router {
         });
         self.state.adaptive.remove(id);
         self.state.metrics.add(Slot::AdaptiveFinished, 1);
-        Ok(ok_json(200, record.to_value()))
+        Ok(ok_json(200, &record))
     }
 
     fn answer(&self, id: &str, request: &Request) -> ApiResult {
@@ -1004,7 +1004,7 @@ impl Router {
                 .map(|()| session_status_body(&slot.session))
                 .map_err(ApiError::from)
         })?;
-        Ok(ok_json(200, outcome?))
+        Ok(ok_json(200, &outcome?))
     }
 
     fn pause(&self, id: &str) -> ApiResult {
@@ -1028,7 +1028,7 @@ impl Router {
             slot.checkpoint = Some(checkpoint.clone());
             Ok::<_, ApiError>(checkpoint)
         })??;
-        Ok(ok_json(200, checkpoint.to_value()))
+        Ok(ok_json(200, &checkpoint))
     }
 
     fn resume(&self, id: &str) -> ApiResult {
@@ -1051,7 +1051,7 @@ impl Router {
             slot.session.reactivate().map_err(ApiError::from)?;
             Ok::<_, ApiError>(session_status_body(&slot.session))
         })??;
-        Ok(ok_json(200, status))
+        Ok(ok_json(200, &status))
     }
 
     fn finish(&self, id: &str) -> ApiResult {
@@ -1087,7 +1087,7 @@ impl Router {
         });
         let _ = self.state.registry.remove(id);
         self.state.metrics.add(Slot::SessionsFinished, 1);
-        Ok(ok_json(200, record.to_value()))
+        Ok(ok_json(200, &record))
     }
 
     /// `GET /exams/{id}/analysis`: the full §4 report. Served from the
@@ -1199,11 +1199,11 @@ fn ranges_body(
     ])
 }
 
-/// Serializes a value tree as a JSON response.
-fn ok_json(status: u16, value: Value) -> Response {
+/// Serializes a typed value or a value tree as a JSON response.
+fn ok_json(status: u16, value: &impl Serialize) -> Response {
     Response::json(
         status,
-        serde_json::to_string(&value).expect("value tree serializes"),
+        serde_json::to_string(value).expect("serialization is infallible"),
     )
 }
 
@@ -1377,7 +1377,7 @@ fn adaptive_rejection(err: &AdaptiveStartError) -> Response {
     };
     ok_json(
         422,
-        Value::Object(vec![
+        &Value::Object(vec![
             ("error".to_string(), Value::String(err.to_string())),
             ("field".to_string(), Value::String(field.to_string())),
         ]),

@@ -15,6 +15,9 @@ cargo clippy --offline -p mine-store --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace --offline --locked -q
 
+echo "==> serde_json shim tests (typed writer bytes == Value tree bytes, parser; vendor/ is outside the workspace)"
+cargo test --offline -q --manifest-path vendor/serde_json/Cargo.toml
+
 echo "==> benchmark driver tests (perfbench/ is its own workspace; catches mine-server API drift)"
 cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
@@ -60,7 +63,7 @@ timeout 60 scripts/smoke_scrub.sh
 echo "==> analysis perf smoke (pooled 4t >=1.5x the frozen naive baseline; MINE_SKIP_PERF_SMOKE=1 skips)"
 timeout 120 cargo test --offline -q -p mine-bench --test perf_smoke
 
-echo "==> streaming perf smoke (counter reads >=25x cold batch at 1000 sittings; MINE_SKIP_PERF_SMOKE=1 skips)"
+echo "==> streaming perf smoke (counter reads >=25x cold batch, report JSON writer >=2x its Value tree, at 1000 sittings; MINE_SKIP_PERF_SMOKE=1 skips)"
 timeout 120 cargo test --offline -q -p mine-bench --test streaming_smoke
 
 echo "All checks passed."
